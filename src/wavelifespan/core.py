@@ -7,6 +7,7 @@ small data u(0) = eps*f, u_t(0) = eps*g compactly supported in |x| <= R.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
@@ -152,6 +153,13 @@ class GridSpec:
     def t_levels(self) -> np.ndarray:
         return self.h * np.arange(self.n_t + 1)
 
+    def active_slice(self, n: int, R: float) -> tuple[int, int]:
+        """Index range [lo, hi] of nodes with |x_i| <= t_n + R."""
+        t = n * self.h
+        lo = math.ceil((-(t + R) - self.x_min) / self.h - 1e-9)
+        hi = math.floor(((t + R) - self.x_min) / self.h + 1e-9)
+        return max(lo, 0), min(hi, self.n_x - 1)
+
     def index_of_x(self, x: float) -> int:
         i = (x - self.x_min) / self.h
         j = int(round(i))
@@ -222,7 +230,12 @@ class Regime:
 
 def validate(params: ModelParams, data: InitialData, grid: Optional[GridSpec] = None) -> list[str]:
     """Return one message per violated invariant; empty list means all good."""
-    out: list[str] = []
+    values = dict(vars(params), amplitude_f=data.amplitude_f, amplitude_g=data.amplitude_g)
+    if grid is not None:
+        values.update(h=grid.h, t_max=grid.t_max, pad=grid.pad)
+    out = [f"{name} must be finite" for name, val in values.items() if not math.isfinite(val)]
+    if out:  # every comparison below is meaningless on NaN
+        return out
     if not params.p > 1:
         out.append("p must exceed 1")
     if params.R < 1:
@@ -246,6 +259,13 @@ def validate(params: ModelParams, data: InitialData, grid: Optional[GridSpec] = 
         if grid.t_max <= 0:
             out.append("t_max must be positive")
     return out
+
+
+def require_valid(params: ModelParams, data: InitialData, grid: Optional[GridSpec] = None) -> None:
+    """Raise ValueError listing every violation that validate reports."""
+    violations = validate(params, data, grid)
+    if violations:
+        raise ValueError("invalid configuration: " + "; ".join(violations))
 
 
 def _data_from_config(cfg: dict, R: float) -> InitialData:

@@ -10,7 +10,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,17 +25,12 @@ from .core import (
     RegimeKind,
     Status,
     load_config_file,
+    require_valid,
     validate,
 )
-from .kernels import free_solution_dt
-from .solver import (
-    _active_slice,
-    _weighted_norm_field,
-    apply_duhamel_field,
-    dump_field_csv,
-    march,
-    weighted_sup_norm,
-)
+# free_solution_dt stays bound here because the benchmark wraps it at this name
+from .kernels import FreeField, free_solution_dt  # noqa: F401
+from .solver import apply_duhamel_field, dump_field_csv, field_weighted_sup, march
 
 log = logging.getLogger("wavelifespan")
 
@@ -120,6 +115,7 @@ def sweep(
     """Run march at h and h/2 for each epsilon; entries sorted ascending."""
     if len(ladder) == 0:
         raise ValueError("empty epsilon ladder")
+    require_valid(replace(params, epsilon=0.0), data, grid)  # per-rung epsilons govern
     regime = theory.classify_regime(params.p, params.a, params.b)
     if regime.kind is RegimeKind.global_:
         raise ValueError(
@@ -187,15 +183,6 @@ def fit_exponent(
     return FitReport(mode=mode, slope=float(slope), intercept=float(intercept), r2=r2, n_points=len(pairs))
 
 
-def _free_field(params: ModelParams, data: InitialData, grid: GridSpec) -> np.ndarray:
-    x = grid.x_nodes()
-    out = np.zeros((grid.n_t + 1, grid.n_x))
-    for n in range(grid.n_t + 1):
-        lo, hi = _active_slice(grid, n, params.R)
-        out[n, lo : hi + 1] = free_solution_dt(x[lo : hi + 1], n * grid.h, data, params.epsilon)
-    return out
-
-
 def verify_apriori(
     params: ModelParams,
     data: InitialData,
@@ -215,7 +202,8 @@ def verify_apriori(
         raise ValueError("empty T ladder")
     T_max = T_ladder[-1]
     grid = GridSpec(h=h, t_max=T_max, pad=max(1.0, params.R))
-    band = _free_field(params, data, grid)  # supported in (t-R)+ <= |x| <= t+R
+    require_valid(params, data, grid)
+    band = FreeField(data, grid, params.epsilon).field(grid.n_t)  # supported in (t-R)+ <= |x| <= t+R
     if test_field == "free":
         U = band
     elif test_field == "picard_U2":
@@ -233,9 +221,9 @@ def verify_apriori(
     for T in T_ladder:
         n_T = grid.index_of_t(T)
         sub = U[: n_T + 1]
-        norm_U = _weighted_norm_field(sub, grid, params)
-        norm_LU = _weighted_norm_field(LU[: n_T + 1], grid, params)
-        norm_LB = _weighted_norm_field(LB[: n_T + 1], grid, params)
+        norm_U = field_weighted_sup(sub, grid, params)
+        norm_LU = field_weighted_sup(LU[: n_T + 1], grid, params)
+        norm_LB = field_weighted_sup(LB[: n_T + 1], grid, params)
         E = theory.E_ab(T, params.p, params.a, params.b, params.R)
         D = theory.D_a(T, params.a, params.R)
         ratio_E = norm_LU / (E * norm_U**params.p) if norm_U > 0 else 0.0

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ALIGN_TOL, InitialData, ModelParams
+from .core import ALIGN_TOL, GridSpec, InitialData, ModelParams
 
 
 def bracket(x):
@@ -37,6 +37,43 @@ def free_solution_dt(x, t, data: InitialData, epsilon: float):
         data.f_prime(x + t) - data.f_prime(x - t) + data.g(x + t) + data.g(x - t)
     )
     return float(out) if out.ndim == 0 else out
+
+
+class FreeField:
+    """eps*u_t0 on a characteristic lattice, read off two sampled halves.
+
+    With dx = dt = h the feet x_i +/- t_n of node (i, n) are the nodes
+    i +/- n, so eps*u_t0(x_i, t_n) = right[i + n] + left[i - n] with
+    right = eps/2 (g + f') and left = eps/2 (g - f') sampled once on the
+    lattice padded by n_t nodes at each end (stored offset by n_t).
+    free_solution_dt is the pointwise reference for the same values.
+    """
+
+    def __init__(self, data: InitialData, grid: GridSpec, epsilon: float):
+        self.grid, self.R, self.n_t = grid, data.R, grid.n_t
+        y = grid.x_min + grid.h * np.arange(-self.n_t, grid.n_x + self.n_t)
+        g, fp = data.g(y), data.f_prime(y)
+        self.right = 0.5 * epsilon * (g + fp)
+        self.left = 0.5 * epsilon * (g - fp)
+
+    def level(self, n: int, lo: int, hi: int, out=None) -> np.ndarray:
+        """Values at nodes lo..hi of level n (into out when given)."""
+        k = self.n_t
+        return np.add(
+            self.right[lo + n + k : hi + n + k + 1], self.left[lo - n + k : hi - n + k + 1], out=out
+        )
+
+    def field(self, n_last: int) -> np.ndarray:
+        """Levels 0..n_last, written row by row inside the cone |x| <= t + R.
+
+        Outside that cone the free data vanishes, and those zeros are left
+        unwritten.
+        """
+        out = np.zeros((n_last + 1, self.grid.n_x))
+        for n in range(n_last + 1):
+            lo, hi = self.grid.active_slice(n, self.R)
+            self.level(n, lo, hi, out=out[n, lo : hi + 1])
+        return out
 
 
 def free_solution(x, t, data: InitialData, epsilon: float):

@@ -3,18 +3,18 @@
 With dx = dt = h both backward characteristics through a node pass through
 earlier nodes exactly, so the Duhamel integral is a trapezoid sum of node
 values.  Running prefix sums along both characteristic families make each
-node update O(1) amortized; the s = t endpoint couples the node to itself
-and is resolved by a damped fixed-point iteration.
+node update O(1) amortized, and the free data at x_i +/- t_n is read off
+nodes i +/- n of two halves sampled once.  The s = t endpoint couples the
+node to itself; one vectorised Newton iteration per level resolves it after
+a closed-form fold test has ruled out blow-up.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .core import (
     CharField,
@@ -24,11 +24,11 @@ from .core import (
     LifespanEstimate,
     ModelParams,
     Status,
-    validate,
+    require_valid,
 )
-from .kernels import free_solution_dt, nonlinear_weight, weight_w
 
-DAMPING = 0.5
+# free_solution_dt stays bound here because the benchmark wraps it at this name
+from .kernels import FreeField, free_solution_dt, nonlinear_weight, weight_w  # noqa: F401
 
 
 def default_blow_threshold(params: ModelParams, data: InitialData) -> float:
@@ -46,54 +46,33 @@ def _solve_level(
 ) -> tuple[np.ndarray, str]:
     """Solve z = base + gamma*|z|^p nodewise; returns (z, flag).
 
-    flag: "ok" (all nodes resolved), "blowup" (some node has no finite
-    solution or escaped the threshold), "failed" (finite but unconverged).
+    flag: "ok" (every node resolved), "blowup" (some node has no finite
+    solution or escaped the threshold), "failed" (finite but unconverged
+    after inner_max Newton steps).
 
-    Strategy: damped fixed-point first (contraction while far from the
-    fold), then an existence check - for base > 0 the scalar equation has a
-    root iff base <= z_m (1 - 1/p) with z_m = (p*gamma)^{-1/(p-1)} - and a
-    bracketed bisection for roots the plain iteration approaches too slowly.
+    For base > 0 a root exists iff base <= z_m (1 - 1/p) with
+    z_m = (p*gamma)^{-1/(p-1)}; crossing that fold is the blow-up test.
+    Otherwise phi(z) = base + gamma*|z|^p - z is convex with
+    phi(base) = gamma*|base|^p >= 0, so Newton from z = base climbs
+    monotonically to the smallest root, for either sign of base.  A node
+    has converged once |phi(z_i)| <= inner_tol * max(1, |z_i|).
     """
-    z = base.copy()
+    with np.errstate(divide="ignore"):
+        z_m = (p * gamma) ** (-1.0 / (p - 1.0))
+    if np.any(base > z_m * (1.0 - 1.0 / p) * (1.0 + 1e-12)):
+        return base, "blowup"
+    z = base
     for _ in range(inner_max):
-        rhs = base + gamma * np.abs(z) ** p
-        resid = np.max(np.abs(z - rhs))
-        z = (1.0 - DAMPING) * z + DAMPING * rhs
-        scale = np.max(np.abs(z))
+        az = np.abs(z)
+        scale = np.max(az)
         if not np.isfinite(scale) or scale > blow_threshold:
             return z, "blowup"
-        if resid <= inner_tol * max(1.0, scale):
+        gz = gamma * az ** (p - 1.0)
+        phi = base + gz * az - z
+        if np.all(np.abs(phi) <= inner_tol * np.maximum(az, 1.0)):
             return z, "ok"
-
-    # no finite fixed point once base crosses the fold of z - gamma*z^p
-    z_m = (p * gamma) ** (-1.0 / (p - 1.0))
-    cap = z_m * (1.0 - 1.0 / p)
-    if np.any(base > cap * (1.0 + 1e-12)):
-        return z, "blowup"
-
-    # remaining roots are bracketed: [0, z_m] for base > 0 (smallest root,
-    # phi changes sign there once base <= cap), [base, 0] for base <= 0
-    lo = np.minimum(base, 0.0)
-    hi = np.where(base > 0.0, np.minimum(z_m, np.full_like(z, np.inf)), 0.0)
-    for _ in range(110):
-        z = 0.5 * (lo + hi)
-        phi = base + gamma * np.abs(z) ** p - z
-        lo = np.where(phi > 0.0, z, lo)
-        hi = np.where(phi > 0.0, hi, z)
-    z = 0.5 * (lo + hi)
-    scale = np.max(np.abs(z))
-    resid = np.max(np.abs(z - base - gamma * np.abs(z) ** p))
-    if resid <= 100.0 * inner_tol * max(1.0, scale):
-        return z, "ok"
+        z = z - phi / (p * gz * np.sign(z) - 1.0)
     return z, "failed"
-
-
-def _active_slice(grid: GridSpec, n: int, R: float) -> tuple[int, int]:
-    """Index range [lo, hi] of nodes with |x_i| <= t_n + R."""
-    t = n * grid.h
-    lo = math.ceil((-(t + R) - grid.x_min) / grid.h - 1e-9)
-    hi = math.floor(((t + R) - grid.x_min) / grid.h + 1e-9)
-    return max(lo, 0), min(hi, grid.n_x - 1)
 
 
 def _masked_weighted_sup(U: np.ndarray, w: np.ndarray) -> float:
@@ -113,17 +92,16 @@ def march(
     track_weighted_sup: bool = False,
 ) -> tuple[CharField, LifespanEstimate]:
     """March the integral equation level by level until blow-up or t_max."""
-    violations = validate(params, data, grid)
-    if violations:
-        raise ValueError("invalid configuration: " + "; ".join(violations))
+    require_valid(params, data, grid)
     if blow_threshold is None:
         blow_threshold = default_blow_threshold(params, data)
     if inner_tol <= 0:
         raise ValueError("inner_tol must be positive")
 
-    h, eps, p, R = grid.h, params.epsilon, params.p, params.R
+    h, p, R = grid.h, params.p, params.R
     n_x, n_t = grid.n_x, grid.n_t
     x = grid.x_nodes()
+    free = FreeField(data, grid, params.epsilon)
 
     # accumulators indexed by characteristic diagonal: plus diagonals c = i+n,
     # minus diagonals d = i-n (offset by n_t to stay nonnegative)
@@ -133,14 +111,12 @@ def march(
 
     levels = np.zeros((n_t + 1, n_x)) if keep_field else None
 
-    lo, hi = _active_slice(grid, 0, R)
+    lo, hi = grid.active_slice(0, R)
     xa = x[lo : hi + 1]
-    U0 = free_solution_dt(xa, 0.0, data, eps)
-    W0 = nonlinear_weight(xa, 0.0, params)
-    F0 = np.abs(U0) ** p * W0
-    idx = np.arange(lo, hi + 1)
-    plus_sums[idx] += 0.5 * F0
-    minus_sums[idx + off] += 0.5 * F0
+    U0 = free.level(0, lo, hi)
+    F0 = 0.5 * np.abs(U0) ** p * nonlinear_weight(xa, 0.0, params)
+    plus_sums[lo : hi + 1] += F0
+    minus_sums[lo + off : hi + off + 1] += F0
     if keep_field:
         levels[0, lo : hi + 1] = U0
 
@@ -157,38 +133,27 @@ def march(
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_t + 1):
             t = n * h
-            lo, hi = _active_slice(grid, n, R)
+            lo, hi = grid.active_slice(n, R)
             xa = x[lo : hi + 1]
             W = nonlinear_weight(xa, t, params)
-            A = free_solution_dt(xa, t, data, eps)
-            K = 0.5 * h * (
-                plus_sums[lo + n : hi + n + 1] + minus_sums[lo - n + off : hi - n + off + 1]
-            )
-            base = A + K
-            gamma = 0.5 * h * W
-
-            z, flag = _solve_level(base, gamma, p, inner_tol, inner_max, blow_threshold)
-            sup_z = float(np.max(np.abs(z)))
-            if flag == "blowup":
-                status = Status.blowup
-                cause = Cause.threshold_exceeded
+            plus = plus_sums[lo + n : hi + n + 1]
+            minus = minus_sums[lo - n + off : hi - n + off + 1]
+            base = free.level(n, lo, hi) + 0.5 * h * (plus + minus)
+            z, flag = _solve_level(base, 0.5 * h * W, p, inner_tol, inner_max, blow_threshold)
+            sup_history.append(float(np.max(np.abs(z))))
+            if flag != "ok":
                 T_blow = t - 0.5 * h
-                sup_history.append(sup_z)
-                break
-            if flag == "failed":
-                status = Status.inner_iteration_failed
-                cause = Cause.fixed_point_diverged
-                T_blow = t - 0.5 * h
-                sup_history.append(sup_z)
+                if flag == "blowup":
+                    status, cause = Status.blowup, Cause.threshold_exceeded
+                else:
+                    status, cause = Status.inner_iteration_failed, Cause.fixed_point_diverged
                 break
 
             F = np.abs(z) ** p * W
-            idx_p = np.arange(lo + n, hi + n + 1)
-            plus_sums[idx_p] += F
-            minus_sums[idx_p - 2 * n + off] += F
+            plus += F  # views: scatter along both characteristic diagonals
+            minus += F
             if keep_field:
                 levels[n, lo : hi + 1] = z
-            sup_history.append(sup_z)
             if track_weighted_sup:
                 wsup_history.append(_masked_weighted_sup(z, weight_w(xa, t, params)))
             n_done = n
@@ -225,13 +190,17 @@ def weighted_sup_norm(field: CharField, params: ModelParams, T: float) -> float:
     n_T = grid.index_of_t(T)
     if n_T > field.levels.shape[0] - 1:
         raise ValueError("T exceeds the computed horizon")
+    return field_weighted_sup(field.levels[: n_T + 1], grid, params)
+
+
+def field_weighted_sup(U: np.ndarray, grid: GridSpec, params: ModelParams) -> float:
+    """sup |w U| over the active cones of levels 0..len(U)-1 of a lattice field."""
     x = grid.x_nodes()
     best = 0.0
-    for n in range(n_T + 1):
-        lo, hi = _active_slice(grid, n, params.R)
-        U = field.levels[n, lo : hi + 1]
+    for n in range(U.shape[0]):
+        lo, hi = grid.active_slice(n, params.R)
         w = weight_w(x[lo : hi + 1], n * grid.h, params)
-        best = max(best, _masked_weighted_sup(U, w))
+        best = max(best, _masked_weighted_sup(U[n, lo : hi + 1], w))
     return best
 
 
@@ -252,18 +221,16 @@ def apply_duhamel_field(
     off = n_t
     out = np.zeros_like(source)
     for n in range(n_levels):
-        lo, hi = _active_slice(grid, n, R)
-        xa = x[lo : hi + 1]
-        W = nonlinear_weight(xa, n * h, params)
-        G = source[n, lo : hi + 1] * W
+        lo, hi = grid.active_slice(n, R)
+        G = source[n, lo : hi + 1] * nonlinear_weight(x[lo : hi + 1], n * h, params)
+        plus_d = plus[lo + n : hi + n + 1]
+        minus_d = minus[lo - n + off : hi - n + off + 1]
         if n > 0:
-            out[n, lo : hi + 1] = 0.5 * h * (
-                plus[lo + n : hi + n + 1] + minus[lo - n + off : hi - n + off + 1] + G
-            )
-        weight = 0.5 if n == 0 else 1.0
-        idx = np.arange(lo + n, hi + n + 1)
-        plus[idx] += weight * G
-        minus[idx - 2 * n + off] += weight * G
+            out[n, lo : hi + 1] = 0.5 * h * (plus_d + minus_d + G)
+        else:
+            G *= 0.5  # trapezoid end weight of the s = 0 level
+        plus_d += G
+        minus_d += G
     return out
 
 
@@ -286,16 +253,6 @@ class PicardReport:
         return out
 
 
-def _weighted_norm_field(U: np.ndarray, grid: GridSpec, params: ModelParams) -> float:
-    x = grid.x_nodes()
-    best = 0.0
-    for n in range(U.shape[0]):
-        lo, hi = _active_slice(grid, n, params.R)
-        w = weight_w(x[lo : hi + 1], n * grid.h, params)
-        best = max(best, _masked_weighted_sup(U[n, lo : hi + 1], w))
-    return best
-
-
 def picard_iterate(
     params: ModelParams,
     data: InitialData,
@@ -309,13 +266,8 @@ def picard_iterate(
     n_T = grid.index_of_t(T)
     if n_T > grid.n_t:
         raise ValueError("T exceeds the grid horizon")
-    x = grid.x_nodes()
     h = grid.h
-    free = np.zeros((n_T + 1, grid.n_x))
-    for n in range(n_T + 1):
-        lo, hi = _active_slice(grid, n, params.R)
-        free[n, lo : hi + 1] = free_solution_dt(x[lo : hi + 1], n * h, data, params.epsilon)
-
+    free = FreeField(data, grid, params.epsilon).field(n_T)
     sub = GridSpec(h=h, t_max=n_T * h, pad=grid.pad + (grid.t_max - n_T * h))
     report = PicardReport(grid=sub)
     U = np.zeros_like(free)  # U_1 = 0
@@ -330,9 +282,9 @@ def picard_iterate(
             if not np.all(np.isfinite(U_next)):
                 report.diverged_at = j + 1
                 break
-            report.diff_norms.append(_weighted_norm_field(U_next - U, sub, params))
+            report.diff_norms.append(field_weighted_sup(U_next - U, sub, params))
             U = U_next
-            report.norms.append(_weighted_norm_field(U, sub, params))
+            report.norms.append(field_weighted_sup(U, sub, params))
     report.final = U
     return report
 
@@ -342,8 +294,8 @@ def reconstruct_u(field: CharField, data: InitialData, epsilon: float) -> np.nda
     if field.levels is None:
         raise ValueError("field values were not stored for this run")
     U = field.levels
-    h = field.grid.h
-    u = cumulative_trapezoid(U, dx=h, axis=0, initial=0.0)
+    u = np.zeros_like(U)
+    u[1:] = np.cumsum(field.grid.h * (U[1:] + U[:-1]) / 2.0, axis=0)
     u += epsilon * data.f(field.grid.x_nodes())[None, :]
     return u
 

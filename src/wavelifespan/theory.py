@@ -16,7 +16,9 @@ Number = Union[int, float, Fraction]
 
 
 def classify_regime(p: Number, a: Number, b: Number) -> Regime:
-    """Exactly one of the five lifespan cases; total for p > 1."""
+    """Exactly one of the five lifespan cases; total for finite a, b and p > 1."""
+    if not all(math.isfinite(v) for v in (p, a, b)):
+        raise ValueError(f"p, a and b must be finite, got p={p}, a={a}, b={b}")
     if not p > 1:
         raise ValueError("p must exceed 1")
     s = p * (1 + a) + b
@@ -32,7 +34,7 @@ def classify_regime(p: Number, a: Number, b: Number) -> Regime:
         return Regime(
             RegimeKind.poly_pab, float(p * (p - 1) / (-s)), "c eps^-p(p-1)/(-p(1+a)-b)"
         )
-    raise AssertionError(f"unreachable: p={p}, a={a}, b={b}")
+    raise ValueError(f"no lifespan case for p={p}, a={a}, b={b}")
 
 
 def lifespan_bound(p: float, a: float, b: float, epsilon: float, c: float) -> float:

@@ -111,6 +111,15 @@ class TestValidate:
         data = InitialData(Family.bump, 0.0, 1.0, params.R)
         assert expected in validate(params, data)
 
+    @pytest.mark.parametrize("name", ["p", "a", "b", "epsilon", "R", "h", "t_max", "pad"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, name, value):
+        fields = {"p": 2.0, "a": 0.0, "b": 0.0, "epsilon": 0.1, "R": 1.0}
+        spec = {"h": 0.05, "t_max": 2.0, "pad": 1.0}
+        (fields if name in fields else spec)[name] = value
+        data = InitialData(Family.bump, 0.0, 1.0, fields["R"])
+        assert f"{name} must be finite" in validate(ModelParams(**fields), data, GridSpec(**spec))
+
     def test_mismatched_support_radius(self):
         params = ModelParams(2.0, 0.0, 0.0, 0.1, 1.0)
         data = InitialData(Family.bump, 0.0, 1.0, 2.0)

@@ -186,3 +186,20 @@ class TestCli:
         )
         assert rc == 1
         assert "global" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--eps", "nan"],
+            ["solve", "--a", "nan"],
+            ["sweep", "--a", "-0.5", "--h", "nan"],
+            ["classify", "--a", "nan"],
+            ["verify-apriori", "--eps", "nan"],
+        ],
+    )
+    def test_non_finite_input_exits_1_before_marching(self, argv, monkeypatch):
+        def no_march(*args, **kwargs):
+            raise AssertionError("march reached with non-finite input")
+
+        monkeypatch.setattr("wavelifespan.harness.march", no_march)
+        assert run_cli(argv) == 1

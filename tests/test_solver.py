@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavelifespan
 from wavelifespan.core import Family, GridSpec, InitialData, ModelParams, Status
-from wavelifespan.kernels import duhamel_Lprime, field_sampler, free_solution_dt
+from wavelifespan.kernels import FreeField, duhamel_Lprime, field_sampler, free_solution_dt
 from wavelifespan.solver import (
     _solve_level,
     apply_duhamel_field,
@@ -44,13 +49,112 @@ class TestSolveLevel:
         assert flag == "blowup"
 
     def test_slow_root_near_fold_found(self):
-        # base just below the fold: plain damped iteration stalls, Newton finishes
+        # base just below the fold, where the fixed-point map barely contracts:
+        # Newton from z = base still reaches the root within inner_max steps
         gamma = np.array([0.25])
         cap = 1.0 / (4.0 * gamma[0])
         base = np.array([cap * 0.9999])
         z, flag = _solve_level(base, gamma, 2.0, 1e-13, 50, 1e6)
         assert flag == "ok"
         assert z[0] == pytest.approx(base[0] + gamma[0] * z[0] ** 2, rel=1e-10)
+
+    @staticmethod
+    def _residual(z, base, gamma, p):
+        return np.abs(base + gamma * np.abs(z) ** p - z) / np.maximum(1.0, np.abs(z))
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_non_integer_and_cubic_powers(self, p):
+        gamma = np.array([0.3, 0.05, 1.0, 0.2])
+        cap = (p * gamma) ** (-1.0 / (p - 1.0)) * (1.0 - 1.0 / p)
+        base = np.array([0.5, 0.9, 0.99, -2.0]) * np.where(np.arange(4) < 3, cap, 1.0)
+        z, flag = _solve_level(base, gamma, p, 1e-13, 50, 1e6)
+        assert flag == "ok"
+        assert np.all(self._residual(z, base, gamma, p) <= 1e-12)
+
+    def test_mixed_sign_base(self):
+        # p = 2: the smallest root (1 - sqrt(1 - 4 gamma base)) / (2 gamma) for either sign
+        base = np.array([-3.0, -0.5, -1e-8, 0.0, 1e-8, 0.3, 0.9])
+        gamma = np.full(base.shape, 0.25)
+        z, flag = _solve_level(base, gamma, 2.0, 1e-14, 50, 1e6)
+        exact = (1.0 - np.sqrt(1.0 - 4.0 * gamma * base)) / (2.0 * gamma)
+        assert flag == "ok"
+        assert np.allclose(z, exact, rtol=1e-12, atol=1e-15)
+        assert np.all(np.sign(z) == np.sign(base))
+
+    def test_convergence_is_per_node(self):
+        # a 1e3-scale node must not loosen the 1e-3-scale node's tolerance
+        base = np.array([900.0, 1e-3])
+        gamma = np.array([1e-4, 0.3])
+        tol = 1e-14
+        z, flag = _solve_level(base, gamma, 2.0, tol, 50, 1e6)
+        assert flag == "ok"
+        assert z[0] > 900.0 and z[1] < 2e-3
+        resid = np.abs(base + gamma * z**2 - z)
+        assert resid[0] <= tol * abs(z[0])
+        assert resid[1] <= tol
+
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_fold_edge(self, p):
+        gamma = np.array([0.25])
+        cap = (p * gamma) ** (-1.0 / (p - 1.0)) * (1.0 - 1.0 / p)
+        z, flag = _solve_level(cap * (1.0 - 1e-9), gamma, p, 1e-12, 50, 1e6)
+        assert flag == "ok"
+        assert self._residual(z, cap * (1.0 - 1e-9), gamma, p)[0] <= 1e-12
+        _, flag = _solve_level(cap * (1.0 + 1e-9), gamma, p, 1e-12, 50, 1e6)
+        assert flag == "blowup"
+
+    def test_threshold_and_non_finite_are_blowup(self):
+        gamma = np.array([1e-9])
+        _, flag = _solve_level(np.array([5e3]), gamma, 2.0, 1e-12, 50, 1e3)
+        assert flag == "blowup"
+        _, flag = _solve_level(np.array([0.1, np.nan]), np.array([0.1, 0.1]), 2.0, 1e-12, 50, 1e6)
+        assert flag == "blowup"
+
+    def test_exhausted_inner_max_is_failed(self):
+        # near the fold Newton needs more than two steps
+        gamma = np.array([0.25])
+        _, flag = _solve_level(np.array([0.999]), gamma, 2.0, 1e-14, 2, 1e6)
+        assert flag == "failed"
+
+
+class TestGoldenLifespan:
+    """Status, T_blow and level count of fixed marches, pinned to their first recorded values."""
+
+    @pytest.mark.parametrize(
+        "p, a, b, eps, h, amplitudes, t_max, T_blow, n_sup",
+        [
+            (2.0, -0.5, 0.0, 0.35, 0.05, None, 80.0, 69.975, 1401),
+            (2.0, -0.5, -3.0, 0.35, 0.05, None, 20.0, 12.975, 261),
+            (3.0, -1.0, -1.0, 0.5, 0.025, None, 20.0, 14.0875, 565),
+            (2.0, -0.5, 0.0, 0.35, 0.025, (0.7, 1.0), 40.0, 29.8625, 1196),
+            (1.5, -0.5, 0.0, 0.6, 0.05, None, 40.0, 29.275, 587),
+        ],
+    )
+    def test_pinned_blowup(self, p, a, b, eps, h, amplitudes, t_max, T_blow, n_sup):
+        if amplitudes is None:
+            data = InitialData(Family.bump, 0.0, 1.0, 1.0)
+        else:
+            data = InitialData(Family.bump_pair, *amplitudes, 1.0)
+        grid = GridSpec(h=h, t_max=t_max, pad=1.0)
+        _, est = march(ModelParams(p, a, b, eps, 1.0), data, grid, keep_field=False)
+        assert est.status is Status.blowup
+        assert est.T_blow == pytest.approx(T_blow, abs=1e-12)
+        assert len(est.sup_history) == n_sup
+
+
+class TestFreeField:
+    def test_matches_pointwise_reference_on_every_level(self):
+        # bump_pair has f' != 0, which exercises the sign of each half
+        data = InitialData(Family.bump_pair, 0.7, 1.0, 1.0)
+        grid = GridSpec(h=0.05, t_max=3.0, pad=1.0)
+        free = FreeField(data, grid, 0.35)
+        xs = grid.x_nodes()
+        field = free.field(grid.n_t)
+        for n in range(grid.n_t + 1):
+            ref = free_solution_dt(xs, n * grid.h, data, 0.35)
+            assert np.max(np.abs(field[n] - ref)) <= 1e-14
+            lo, hi = grid.active_slice(n, data.R)
+            assert np.max(np.abs(free.level(n, lo, hi) - ref[lo : hi + 1])) <= 1e-14
 
 
 class TestMarchBasics:
@@ -218,7 +322,6 @@ class TestPicard:
 class TestNormsAndReconstruction:
     def test_weighted_norm_against_bruteforce(self, bump_data):
         from wavelifespan.kernels import weight_w
-        from wavelifespan.solver import _active_slice
 
         params = ModelParams(2.0, -0.5, 0.0, 0.3, 1.0)
         grid = GridSpec(h=0.1, t_max=3.0, pad=1.0)
@@ -226,7 +329,7 @@ class TestNormsAndReconstruction:
         xs = grid.x_nodes()
         best = 0.0
         for n in range(field.levels.shape[0]):
-            lo, hi = _active_slice(grid, n, params.R)
+            lo, hi = grid.active_slice(n, params.R)
             for i in range(lo, hi + 1):
                 u = field.levels[n, i]
                 if u != 0.0:
@@ -247,6 +350,17 @@ class TestNormsAndReconstruction:
         u = reconstruct_u(field, data, params.epsilon)
         assert np.allclose(u[0], params.epsilon * data.f(grid.x_nodes()), atol=1e-15)
 
+    def test_reconstruct_matches_cumulative_trapezoid(self):
+        from scipy.integrate import cumulative_trapezoid
+
+        data = InitialData(Family.bump_pair, 0.4, 1.0, 1.0)
+        params = ModelParams(2.0, -0.5, 0.0, 0.3, 1.0)
+        grid = GridSpec(h=0.05, t_max=4.0, pad=1.0)
+        field, _ = march(params, data, grid)
+        expected = cumulative_trapezoid(field.levels, dx=grid.h, axis=0, initial=0.0)
+        expected += params.epsilon * data.f(grid.x_nodes())[None, :]
+        assert np.array_equal(reconstruct_u(field, data, params.epsilon), expected)
+
     def test_residual_requires_field(self, bump_data):
         params = ModelParams(2.0, 0.0, 0.0, 0.1, 1.0)
         field, _ = march(params, bump_data, GridSpec(h=0.1, t_max=2.0, pad=1.0), keep_field=False)
@@ -263,3 +377,11 @@ class TestNormsAndReconstruction:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,x,u_t"
         assert len(lines) == 1 + field.levels.shape[0] * field.grid.n_x
+
+
+def test_package_import_leaves_scipy_out():
+    src = str(Path(wavelifespan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, wavelifespan; assert 'scipy' not in sys.modules, 'scipy imported'"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

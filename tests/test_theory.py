@@ -63,6 +63,11 @@ class TestClassification:
         with pytest.raises(ValueError):
             classify_regime(1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("p, a, b", [(2.0, math.nan, 0.0), (2.0, 0.0, math.inf), (math.nan, 0.0, 0.0)])
+    def test_rejects_non_finite_exponents(self, p, a, b):
+        with pytest.raises(ValueError):
+            classify_regime(p, a, b)
+
     @settings(max_examples=300, deadline=None)
     @given(
         p=st.floats(min_value=1.01, max_value=5.0),
