@@ -180,15 +180,11 @@ class CharField:
     """U = u_t sampled on the characteristic lattice.
 
     levels[n][i] = U(x_i, t_n); None when the run was asked not to keep the
-    field (large sweeps).  plus_sums/minus_sums are the running trapezoid
-    accumulators of the weighted nonlinearity along the two characteristic
-    families, as left by the solver at its final level.
+    field (large sweeps).
     """
 
     grid: GridSpec
     levels: Optional[np.ndarray]
-    plus_sums: Optional[np.ndarray] = None
-    minus_sums: Optional[np.ndarray] = None
     n_levels_done: int = 0
 
     def value(self, x: float, t: float) -> float:

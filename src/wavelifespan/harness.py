@@ -28,9 +28,10 @@ from .core import (
     require_valid,
     validate,
 )
-# free_solution_dt stays bound here because the benchmark wraps it at this name
-from .kernels import FreeField, free_solution_dt  # noqa: F401
-from .solver import apply_duhamel_field, dump_field_csv, field_weighted_sup, march
+# free_solution_dt and apply_duhamel_field stay bound here because the
+# benchmark wraps them at these names
+from .kernels import free_solution_dt  # noqa: F401
+from .solver import apply_duhamel_field, apriori_profiles, dump_field_csv, march  # noqa: F401
 
 log = logging.getLogger("wavelifespan")
 
@@ -196,6 +197,11 @@ def verify_apriori(
     ratio_D = ||L'(|U0|^{p-1} |U|)|| / (D_a(T) ||U||) with U0 the
     characteristic-band free field.  Both should stay bounded (near
     constant) as T grows.
+
+    The three norms of every T come from one streamed pass over the levels
+    up to the largest T (solver.apriori_profiles), which stores no field:
+    memory is O(n_x + n_t).  The norm over [0, T] is the running max of the
+    per-level sups, read at the level of T.
     """
     T_ladder = sorted(T_ladder)
     if not T_ladder:
@@ -203,27 +209,12 @@ def verify_apriori(
     T_max = T_ladder[-1]
     grid = GridSpec(h=h, t_max=T_max, pad=max(1.0, params.R))
     require_valid(params, data, grid)
-    band = FreeField(data, grid, params.epsilon).field(grid.n_t)  # supported in (t-R)+ <= |x| <= t+R
-    if test_field == "free":
-        U = band
-    elif test_field == "picard_U2":
-        U = apply_duhamel_field(np.abs(band) ** params.p, grid, params, params.R)
-    else:
-        raise ValueError(f"unknown test field {test_field!r}")
-    if not np.any(U != 0.0):
-        raise ValueError("zero-norm test field")
-
-    LU = apply_duhamel_field(np.abs(U) ** params.p, grid, params, params.R)
-    LB = apply_duhamel_field(np.abs(band) ** (params.p - 1) * np.abs(U), grid, params, params.R)
+    # fmax skips a NaN sup, so one NaN level leaves the norms of later T defined
+    norms = np.fmax.accumulate(apriori_profiles(params, data, grid, test_field), axis=1)
 
     rows = []
-    x = grid.x_nodes()
     for T in T_ladder:
-        n_T = grid.index_of_t(T)
-        sub = U[: n_T + 1]
-        norm_U = field_weighted_sup(sub, grid, params)
-        norm_LU = field_weighted_sup(LU[: n_T + 1], grid, params)
-        norm_LB = field_weighted_sup(LB[: n_T + 1], grid, params)
+        norm_U, norm_LU, norm_LB = (float(v) for v in norms[:, grid.index_of_t(T)])
         E = theory.E_ab(T, params.p, params.a, params.b, params.R)
         D = theory.D_a(T, params.a, params.R)
         ratio_E = norm_LU / (E * norm_U**params.p) if norm_U > 0 else 0.0

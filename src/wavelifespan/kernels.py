@@ -1,6 +1,7 @@
 """Pointwise weights, d'Alembert formulas, and trapezoid Duhamel operators.
 
-All operations are pure.  Duhamel integrals are taken along backward
+The functions are pure; CharAccumulator carries the running sums of one
+pass over the levels.  Duhamel integrals are taken along backward
 characteristics on the lattice dx = dt = h, so every integrand sample sits
 exactly on a node and no interpolation is needed.
 """
@@ -73,6 +74,41 @@ class FreeField:
         for n in range(n_last + 1):
             lo, hi = self.grid.active_slice(n, self.R)
             self.level(n, lo, hi, out=out[n, lo : hi + 1])
+        return out
+
+
+class CharAccumulator:
+    """Running trapezoid sums of a source along both characteristic families.
+
+    Node (i, n) reads the plus diagonal i + n and the minus diagonal i - n
+    (stored offset by n_t) of a lattice with n_x nodes and levels 0..n_t.
+    The sums are kept without the trapezoid factor h/2.
+    """
+
+    def __init__(self, n_x: int, n_t: int, h: float):
+        self.h, self.off = h, n_t
+        self.plus = np.zeros(n_x + n_t)
+        self.minus = np.zeros(n_x + n_t)
+
+    def diagonals(self, n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the plus and minus sums through nodes lo..hi of level n."""
+        k = self.off
+        return self.plus[lo + n : hi + n + 1], self.minus[lo - n + k : hi - n + k + 1]
+
+    def explicit_step(self, n: int, lo: int, hi: int, G: np.ndarray) -> np.ndarray:
+        """Explicit trapezoid L' at nodes lo..hi of level n, then add G there.
+
+        G is the weighted source on level n.  Level 0 has no history, so its
+        value is 0 and G enters the sums at the trapezoid end weight 1/2.
+        """
+        plus, minus = self.diagonals(n, lo, hi)
+        if n > 0:
+            out = 0.5 * self.h * (plus + minus + G)
+        else:
+            out = np.zeros_like(G)
+            G = 0.5 * G
+        plus += G
+        minus += G
         return out
 
 

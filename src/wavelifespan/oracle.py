@@ -128,7 +128,8 @@ def compare_fields(
     window = (x_lo, x_hi, t_lo, t_hi).  Leapfrog u_t is the centered time
     difference, linearly interpolated in time onto the march levels; x nodes
     are matched to the nearest leapfrog node (grids are commensurate by
-    construction).
+    construction).  The difference is taken only on the two bracketing
+    leapfrog levels and the matched columns, so no u_t array is built.
     """
     if char_field.levels is None:
         raise ValueError("march field has no stored levels")
@@ -136,7 +137,10 @@ def compare_fields(
     if not (x_lo < x_hi and t_lo <= t_hi):
         raise ValueError("empty comparison window")
     grid = char_field.grid
-    times_l, ut_l = leapfrog.u_t_levels()
+    u, dt = leapfrog.u, leapfrog.dt
+    if u.shape[0] < 3:
+        raise ValueError("too few levels for a centered difference")
+    times_l = dt * np.arange(1, u.shape[0] - 1)  # times of the centered u_t levels
     xs = grid.x_nodes()
     xmask = (xs >= x_lo) & (xs <= x_hi)
     if not np.any(xmask):
@@ -145,15 +149,20 @@ def compare_fields(
     if np.any(ix_leap < 0) or np.any(ix_leap >= leapfrog.x.size):
         raise ValueError("window exceeds the leapfrog domain")
 
+    def centred_u_t(j):  # u_t of leapfrog level j + 1 at the matched columns
+        return (u[j + 2, ix_leap] - u[j, ix_leap]) / (2.0 * dt)
+
     worst = None
     n_levels = char_field.levels.shape[0]
     for n in range(n_levels):
         t = n * grid.h
         if t < t_lo or t > t_hi or t < times_l[0] or t > times_l[-1]:
             continue
-        k = min(int((t - times_l[0]) / leapfrog.dt), len(times_l) - 2)
-        frac = (t - times_l[k]) / leapfrog.dt
-        ut_here = (1.0 - frac) * ut_l[k, ix_leap] + frac * ut_l[k + 1, ix_leap]
+        # bracketing u_t levels k and k1, both k when there is only one
+        k = max(0, min(int((t - times_l[0]) / dt), len(times_l) - 2))
+        k1 = min(k + 1, len(times_l) - 1)
+        frac = (t - times_l[k]) / dt
+        ut_here = (1.0 - frac) * centred_u_t(k) + frac * centred_u_t(k1)
         diff = np.max(np.abs(char_field.levels[n, xmask] - ut_here))
         worst = diff if worst is None else max(worst, diff)
     if worst is None:

@@ -2,9 +2,11 @@
 
 With dx = dt = h both backward characteristics through a node pass through
 earlier nodes exactly, so the Duhamel integral is a trapezoid sum of node
-values.  Running prefix sums along both characteristic families make each
-node update O(1) amortized, and the free data at x_i +/- t_n is read off
-nodes i +/- n of two halves sampled once.  The s = t endpoint couples the
+values.  Running prefix sums along both characteristic families
+(kernels.CharAccumulator) make each node update O(1) amortized; the same
+accumulator serves march, apply_duhamel_field and the streamed a-priori
+norms of apriori_profiles.  The free data at x_i +/- t_n is read off nodes
+i +/- n of two halves sampled once.  The s = t endpoint couples the
 node to itself; one vectorised Newton iteration per level resolves it after
 a closed-form fold test has ruled out blow-up.
 """
@@ -28,7 +30,13 @@ from .core import (
 )
 
 # free_solution_dt stays bound here because the benchmark wraps it at this name
-from .kernels import FreeField, free_solution_dt, nonlinear_weight, weight_w  # noqa: F401
+from .kernels import (  # noqa: F401
+    CharAccumulator,
+    FreeField,
+    free_solution_dt,
+    nonlinear_weight,
+    weight_w,
+)
 
 
 def default_blow_threshold(params: ModelParams, data: InitialData) -> float:
@@ -103,20 +111,16 @@ def march(
     x = grid.x_nodes()
     free = FreeField(data, grid, params.epsilon)
 
-    # accumulators indexed by characteristic diagonal: plus diagonals c = i+n,
-    # minus diagonals d = i-n (offset by n_t to stay nonnegative)
-    plus_sums = np.zeros(n_x + n_t)
-    minus_sums = np.zeros(n_x + n_t)
-    off = n_t
-
+    acc = CharAccumulator(n_x, n_t, h)
     levels = np.zeros((n_t + 1, n_x)) if keep_field else None
 
     lo, hi = grid.active_slice(0, R)
     xa = x[lo : hi + 1]
     U0 = free.level(0, lo, hi)
     F0 = 0.5 * np.abs(U0) ** p * nonlinear_weight(xa, 0.0, params)
-    plus_sums[lo : hi + 1] += F0
-    minus_sums[lo + off : hi + off + 1] += F0
+    plus, minus = acc.diagonals(0, lo, hi)
+    plus += F0
+    minus += F0
     if keep_field:
         levels[0, lo : hi + 1] = U0
 
@@ -136,8 +140,7 @@ def march(
             lo, hi = grid.active_slice(n, R)
             xa = x[lo : hi + 1]
             W = nonlinear_weight(xa, t, params)
-            plus = plus_sums[lo + n : hi + n + 1]
-            minus = minus_sums[lo - n + off : hi - n + off + 1]
+            plus, minus = acc.diagonals(n, lo, hi)
             base = free.level(n, lo, hi) + 0.5 * h * (plus + minus)
             z, flag = _solve_level(base, 0.5 * h * W, p, inner_tol, inner_max, blow_threshold)
             sup_history.append(float(np.max(np.abs(z))))
@@ -160,13 +163,7 @@ def march(
 
     if keep_field and status is not Status.survived:
         levels = levels[: n_done + 1, :]  # drop the unresolved detection level
-    field_out = CharField(
-        grid=grid,
-        levels=levels,
-        plus_sums=plus_sums,
-        minus_sums=minus_sums,
-        n_levels_done=n_done,
-    )
+    field_out = CharField(grid=grid, levels=levels, n_levels_done=n_done)
     estimate = LifespanEstimate(
         status=status,
         T_blow=T_blow,
@@ -213,24 +210,49 @@ def apply_duhamel_field(
     applied here.  Explicit trapezoid: no endpoint implicitness.
     """
     n_levels, n_x = source.shape
-    h = grid.h
     x = grid.x_nodes()
-    n_t = n_levels - 1
-    plus = np.zeros(n_x + n_t)
-    minus = np.zeros(n_x + n_t)
-    off = n_t
+    acc = CharAccumulator(n_x, n_levels - 1, grid.h)
     out = np.zeros_like(source)
     for n in range(n_levels):
         lo, hi = grid.active_slice(n, R)
-        G = source[n, lo : hi + 1] * nonlinear_weight(x[lo : hi + 1], n * h, params)
-        plus_d = plus[lo + n : hi + n + 1]
-        minus_d = minus[lo - n + off : hi - n + off + 1]
-        if n > 0:
-            out[n, lo : hi + 1] = 0.5 * h * (plus_d + minus_d + G)
-        else:
-            G *= 0.5  # trapezoid end weight of the s = 0 level
-        plus_d += G
-        minus_d += G
+        G = source[n, lo : hi + 1] * nonlinear_weight(x[lo : hi + 1], n * grid.h, params)
+        out[n, lo : hi + 1] = acc.explicit_step(n, lo, hi, G)
+    return out
+
+
+def apriori_profiles(
+    params: ModelParams, data: InitialData, grid: GridSpec, test_field: str = "free"
+) -> np.ndarray:
+    """Per-level weighted sups behind the a-priori ratios, in one pass.
+
+    Rows 0, 1 and 2 hold sup |w U|, sup |w L'(|U|^p)| and
+    sup |w L'(|B|^{p-1} |U|)| over the active cone of each level 0..n_t,
+    where B = eps*u_t0 is the band free field and the test field U is B
+    ("free") or L'(|B|^p) ("picard_U2").  Each L' advances level by level
+    through its own CharAccumulator, so memory is O(n_x + n_t).  Raises
+    ValueError when U vanishes on every level.
+    """
+    if test_field not in ("free", "picard_U2"):
+        raise ValueError(f"unknown test field {test_field!r}")
+    p, h = params.p, grid.h
+    x = grid.x_nodes()
+    free = FreeField(data, grid, params.epsilon)
+    acc_U, acc_LU, acc_LB = (CharAccumulator(grid.n_x, grid.n_t, h) for _ in range(3))
+    out = np.empty((3, grid.n_t + 1))
+    nonzero = False
+    for n in range(grid.n_t + 1):
+        lo, hi = grid.active_slice(n, params.R)
+        xa = x[lo : hi + 1]
+        W = nonlinear_weight(xa, n * h, params)
+        w = weight_w(xa, n * h, params)
+        B = free.level(n, lo, hi)
+        U = B if test_field == "free" else acc_U.explicit_step(n, lo, hi, np.abs(B) ** p * W)
+        nonzero = nonzero or bool(np.any(U != 0.0))
+        LU = acc_LU.explicit_step(n, lo, hi, np.abs(U) ** p * W)
+        LB = acc_LB.explicit_step(n, lo, hi, np.abs(B) ** (p - 1) * np.abs(U) * W)
+        out[:, n] = [_masked_weighted_sup(V, w) for V in (U, LU, LB)]
+    if not nonzero:
+        raise ValueError("zero-norm test field")
     return out
 
 

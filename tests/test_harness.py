@@ -13,7 +13,9 @@ from wavelifespan.harness import (
     sweep,
     verify_apriori,
 )
-from wavelifespan.theory import lifespan_bound
+from wavelifespan.kernels import FreeField
+from wavelifespan.solver import apply_duhamel_field, field_weighted_sup
+from wavelifespan.theory import D_a, E_ab, lifespan_bound
 
 
 class TestLadder:
@@ -113,7 +115,53 @@ class TestSweep:
         assert not result.entries[0].blew_up()
 
 
+def stored_field_ratios(params, data, h, T_ladder, test_field):
+    """verify_apriori from whole stored fields, rescanning level prefixes per T."""
+    grid = GridSpec(h=h, t_max=max(T_ladder), pad=max(1.0, params.R))
+    p, R = params.p, params.R
+    band = FreeField(data, grid, params.epsilon).field(grid.n_t)
+    U = band if test_field == "free" else apply_duhamel_field(np.abs(band) ** p, grid, params, R)
+    LU = apply_duhamel_field(np.abs(U) ** p, grid, params, R)
+    LB = apply_duhamel_field(np.abs(band) ** (p - 1) * np.abs(U), grid, params, R)
+    rows = []
+    for T in T_ladder:
+        n_T = grid.index_of_t(T)
+        norm_U, norm_LU, norm_LB = (field_weighted_sup(V[: n_T + 1], grid, params) for V in (U, LU, LB))
+        E = E_ab(T, p, params.a, params.b, R)
+        D = D_a(T, params.a, R)
+        rows.append((T, norm_LU / (E * norm_U**p), norm_LB / (D * norm_U)))
+    return rows
+
+
 class TestVerifyApriori:
+    @pytest.mark.parametrize("test_field", ["free", "picard_U2"])
+    @pytest.mark.parametrize(
+        "p, a, b, R, family",
+        [
+            # the five growth-factor cases of acceptance criterion 6
+            (2.0, 1.0, 0.0, 1.0, Family.bump),
+            (2.0, 0.0, 0.0, 2.0, Family.bump),
+            (2.0, 0.5, -3.0, 1.0, Family.bump),
+            (2.0, -0.5, 0.0, 1.0, Family.bump),
+            (2.0, -0.5, -3.0, 1.0, Family.bump),
+            # cubic, inner weight branch a < -1, and f' != 0 in the band
+            (3.0, -1.5, 0.0, 1.0, Family.bump_pair),
+        ],
+    )
+    def test_streamed_rows_equal_stored_field_reference(self, p, a, b, R, family, test_field):
+        params = ModelParams(p, a, b, 0.01, R)
+        data = InitialData(family, 0.7, 1.0, R)
+        T_ladder = [0.5, 10.0, 20.0, 40.0, 80.0]
+        rows = verify_apriori(params, data, 0.1, T_ladder, test_field)
+        assert rows == stored_field_ratios(params, data, 0.1, T_ladder, test_field)
+
+    @pytest.mark.parametrize("test_field", ["free", "picard_U2"])
+    def test_zero_data_is_rejected(self, test_field):
+        params = ModelParams(2.0, 0.5, 0.0, 0.01, 1.0)
+        data = InitialData(Family.zero, 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="zero-norm test field"):
+            verify_apriori(params, data, 0.1, [5.0], test_field)
+
     def test_rows_and_csv(self, bump_data):
         params = ModelParams(2.0, 0.5, 0.0, 0.01, 1.0)
         rows = verify_apriori(params, bump_data, 0.1, [5.0, 10.0])

@@ -73,7 +73,44 @@ class TestBlowupAgreement:
         assert abs(est_m.T_blow - est_l.T_blow) / est_l.T_blow < 0.10
 
 
+def compare_from_u_t_levels(char_field, leapfrog, window):
+    """compare_fields computed from the whole centered-difference u_t array."""
+    x_lo, x_hi, t_lo, t_hi = window
+    grid = char_field.grid
+    times_l, ut_l = leapfrog.u_t_levels()
+    xs = grid.x_nodes()
+    xmask = (xs >= x_lo) & (xs <= x_hi)
+    ix_leap = np.rint((xs[xmask] - leapfrog.x[0]) / leapfrog.dx).astype(int)
+    worst = None
+    for n in range(char_field.levels.shape[0]):
+        t = n * grid.h
+        if t < t_lo or t > t_hi or t < times_l[0] or t > times_l[-1]:
+            continue
+        k = min(int((t - times_l[0]) / leapfrog.dt), len(times_l) - 2)
+        frac = (t - times_l[k]) / leapfrog.dt
+        ut_here = (1.0 - frac) * ut_l[k, ix_leap] + frac * ut_l[k + 1, ix_leap]
+        diff = np.max(np.abs(char_field.levels[n, xmask] - ut_here))
+        worst = diff if worst is None else max(worst, diff)
+    return float(worst)
+
+
 class TestCompareFields:
+    @pytest.mark.parametrize(
+        "dx, cfl, t_lf, window",
+        [
+            (0.01, 0.9, 3.0, (-3.0, 3.0, 0.0, 3.0)),
+            (0.01, 0.9, 3.0, (-1.0, 2.0, 0.5, 2.2)),
+            (0.025, 0.8, 2.0, (-2.5, 2.5, 0.0, 10.0)),
+            (0.05, 1.0, 0.1, (-1.0, 1.0, 0.0, 1.0)),  # three leapfrog levels: one u_t level
+        ],
+    )
+    def test_equals_u_t_levels_reference(self, dx, cfl, t_lf, window):
+        params = ModelParams(2.0, -1.0, -1.0, 0.5, 1.0)
+        data = InitialData(Family.bump, 0.0, 1.0, 1.0)
+        field, _ = march(params, data, GridSpec(h=0.05, t_max=3.0, pad=1.0))
+        result, _ = leapfrog_solve(params, data, dx=dx, cfl=cfl, t_max=t_lf)
+        assert compare_fields(field, result, window) == compare_from_u_t_levels(field, result, window)
+
     def test_linear_fields_agree(self, bump_data):
         params = ModelParams(2.0, 0.0, 0.0, 1e-4, 1.0)
         grid = GridSpec(h=0.05, t_max=3.0, pad=1.0)
