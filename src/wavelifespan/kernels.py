@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ALIGN_TOL, GridSpec, InitialData, ModelParams
 
@@ -63,6 +64,17 @@ class FreeField:
         return np.add(
             self.right[lo + n + k : hi + n + k + 1], self.left[lo - n + k : hi - n + k + 1], out=out
         )
+
+    def block(self, n0: int, n1: int, lo: int, hi: int) -> np.ndarray:
+        """Values at nodes lo..hi of levels n0..n1-1, one level per row.
+
+        Row j equals level(n0 + j, lo, hi): the windows of right move one
+        node up per level and those of left one node down.
+        """
+        k, m = self.n_t, hi - lo + 1
+        right = sliding_window_view(self.right, m)[lo + n0 + k : lo + n1 + k]
+        left = sliding_window_view(self.left, m)[lo - n1 + k + 1 : lo - n0 + k + 1]
+        return right + left[::-1]
 
     def field(self, n_last: int) -> np.ndarray:
         """Levels 0..n_last, written row by row inside the cone |x| <= t + R.
@@ -175,22 +187,6 @@ def duhamel_Lprime(F: Callable, x: float, t: float, params: ModelParams, h: floa
     Ip = Fp * nonlinear_weight(yp, s, params)
     Im = Fm * nonlinear_weight(ym, s, params)
     return float(0.5 * (np.trapezoid(Ip, dx=h) + np.trapezoid(Im, dx=h)))
-
-
-def duhamel_L(F: Callable, x: float, t: float, params: ModelParams, h: float) -> float:
-    """2D trapezoid value of the full Duhamel term over the backward triangle."""
-    _check_lattice(x, h, "x")
-    n = _check_lattice(t, h, "t")
-    if n == 0:
-        return 0.0
-    inner = np.zeros(n + 1)
-    for k in range(n):  # at k = n the y-interval degenerates; inner stays 0
-        s = k * h
-        y = np.arange(x - t + s, x + t - s + 0.5 * h, h)
-        vals = np.asarray(F(y, np.full_like(y, s)), dtype=float)
-        vals = vals * nonlinear_weight(y, s, params)
-        inner[k] = np.trapezoid(vals, dx=h)
-    return float(0.5 * np.trapezoid(inner, dx=h))
 
 
 def field_sampler(field) -> Callable:

@@ -5,6 +5,11 @@ Structurally different from the lattice solver on purpose: u (not u_t) is
 the unknown, the source is evaluated explicitly from a lagged centered time
 difference, and the grid is a standard finite-difference grid with
 dt = cfl * dx.
+
+The data vanish outside |x| <= R and the stencil reaches one node per
+step, so each level is updated and stored only on the nodes it can reach:
+one flat buffer holds the levels back to back (LeapfrogResult), and
+LeapfrogResult.level rebuilds a whole row.
 """
 
 from __future__ import annotations
@@ -21,17 +26,44 @@ from .solver import default_blow_threshold
 
 @dataclass
 class LeapfrogResult:
-    u: np.ndarray  # (n_levels, n_x)
+    """Leapfrog levels 0..n_levels-1, each stored on the nodes it can reach.
+
+    Level n holds u at nodes lo[n] .. lo[n] + offsets[n+1] - offsets[n] - 1
+    in values[offsets[n] : offsets[n+1]]; u is 0 at every other node.
+    """
+
+    values: np.ndarray
+    lo: np.ndarray  # (n_levels,)
+    offsets: np.ndarray  # (n_levels + 1,)
     x: np.ndarray
     dx: float
     dt: float
 
+    @property
+    def n_levels(self) -> int:
+        return self.lo.size
+
+    def level(self, n: int) -> np.ndarray:
+        """u at every node of level n."""
+        if not 0 <= n < self.n_levels:
+            raise IndexError(f"level {n} outside 0..{self.n_levels - 1}")
+        row = np.zeros_like(self.x)
+        a, b = self.offsets[n], self.offsets[n + 1]
+        row[self.lo[n] : self.lo[n] + b - a] = self.values[a:b]
+        return row
+
+    @property
+    def u(self) -> np.ndarray:
+        """u at every node of every level, as a (n_levels, n_x) array."""
+        return np.stack([self.level(n) for n in range(self.n_levels)])
+
     def u_t_levels(self) -> tuple[np.ndarray, np.ndarray]:
         """Centered-difference u_t at interior time levels; returns (times, u_t)."""
-        n = self.u.shape[0]
+        n = self.n_levels
         if n < 3:
             raise ValueError("too few levels for a centered difference")
-        ut = (self.u[2:, :] - self.u[:-2, :]) / (2.0 * self.dt)
+        u = self.u
+        ut = (u[2:, :] - u[:-2, :]) / (2.0 * self.dt)
         times = self.dt * np.arange(1, n - 1)
         return times, ut
 
@@ -44,7 +76,13 @@ def leapfrog_solve(
     t_max: float = 10.0,
     blow_threshold: Optional[float] = None,
 ) -> tuple[LeapfrogResult, LifespanEstimate]:
-    """Three-level explicit scheme for the weighted wave equation."""
+    """Three-level explicit scheme for the weighted wave equation.
+
+    f and g vanish outside |x| <= data.R, so level 1 is nonzero only on that
+    support widened by one node, and each later level by one node more.
+    Levels are updated and stored on that reach, clamped to the interior
+    of the Dirichlet domain; u is exactly 0 elsewhere.
+    """
     if not (0 < cfl <= 1):
         raise ValueError("cfl must lie in (0, 1]")
     if dx <= 0:
@@ -60,36 +98,49 @@ def leapfrog_solve(
     n_t = int(np.ceil(t_max / dt))
     lam2 = (dt / dx) ** 2
 
-    u = np.zeros((n_t + 1, x.size))
-    u[0] = eps * data.f(x)
+    support = np.flatnonzero(np.abs(x) <= data.R)
+    grow = np.maximum(np.arange(n_t + 1) - 1, 0)
+    lo = np.maximum(support[0] - 1 - grow, 1)
+    hi = np.minimum(support[-1] + 1 + grow, x.size - 2)
+    offsets = np.concatenate(([0], np.cumsum(hi - lo + 1)))
+    values = np.empty(offsets[-1])
+
+    def store(n, row):
+        values[offsets[n] : offsets[n + 1]] = row[lo[n] : hi[n] + 1]
+
+    u0 = eps * data.f(x)
     g0 = eps * data.g(x)
     u0_xx = np.zeros_like(x)
-    u0_xx[1:-1] = (u[0, 2:] - 2.0 * u[0, 1:-1] + u[0, :-2]) / dx**2
+    u0_xx[1:-1] = (u0[2:] - 2.0 * u0[1:-1] + u0[:-2]) / dx**2
     src0 = np.abs(g0) ** p * nonlinear_weight(x, 0.0, params)
-    u[1] = u[0] + dt * g0 + 0.5 * dt**2 * (u0_xx + src0)
-    u[1, 0] = u[1, -1] = 0.0
+    u1 = u0 + dt * g0 + 0.5 * dt**2 * (u0_xx + src0)
+    u1[0] = u1[-1] = 0.0
+    store(0, u0)
+    store(1, u1)
 
     status = Status.survived
     cause = None
     T_blow = None
     n_done = 1
-    sup_history = [float(np.max(np.abs(g0))), float(np.max(np.abs((u[1] - u[0]) / dt)))]
+    sup_history = [float(np.max(np.abs(g0))), float(np.max(np.abs((u1 - u0) / dt)))]
 
+    # whole rows of levels n-2, n-1 and n; each is 0 outside its reach
+    older, prev, cur = np.zeros_like(x), u0, u1
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_t):
             t = n * dt
+            a, b = lo[n + 1], hi[n + 1] + 1  # reach of level n + 1
             # lagged centered difference keeps the source explicit
             if n >= 2:
-                ut = (u[n] - u[n - 2]) / (2.0 * dt)
+                ut = (cur[a:b] - older[a:b]) / (2.0 * dt)
             else:
-                ut = (u[1] - u[0]) / dt
-            src = np.abs(ut) ** p * nonlinear_weight(x, t, params)
-            unew = np.zeros_like(x)
-            unew[1:-1] = (
-                2.0 * u[n, 1:-1]
-                - u[n - 1, 1:-1]
-                + lam2 * (u[n, 2:] - 2.0 * u[n, 1:-1] + u[n, :-2])
-                + dt**2 * src[1:-1]
+                ut = (cur[a:b] - prev[a:b]) / dt
+            src = np.abs(ut) ** p * nonlinear_weight(x[a:b], t, params)
+            unew = (
+                2.0 * cur[a:b]
+                - prev[a:b]
+                + lam2 * (cur[a + 1 : b + 1] - 2.0 * cur[a:b] + cur[a - 1 : b - 1])
+                + dt**2 * src
             )
             sup_ut = float(np.max(np.abs(ut)))
             sup_history.append(sup_ut)
@@ -98,10 +149,17 @@ def leapfrog_solve(
                 cause = Cause.threshold_exceeded
                 T_blow = t - 0.5 * dt
                 break
-            u[n + 1] = unew
+            # the reach of level n - 2 lies inside that of n + 1, so the
+            # write below replaces every nonzero node of the reused row
+            older[a:b] = unew
+            older, prev, cur = prev, cur, older
+            store(n + 1, cur)
             n_done = n + 1
 
-    result = LeapfrogResult(u=u[: n_done + 1], x=x, dx=dx, dt=dt)
+    result = LeapfrogResult(
+        values=values[: offsets[n_done + 1]], lo=lo[: n_done + 1],
+        offsets=offsets[: n_done + 2], x=x, dx=dx, dt=dt,
+    )
     estimate = LifespanEstimate(
         status=status, T_blow=T_blow, h=dt, sup_history=sup_history, cause=cause
     )
@@ -110,11 +168,10 @@ def leapfrog_solve(
 
 def discrete_energy(result: LeapfrogResult, n: int) -> float:
     """(1/2) sum (u_t^2 + u_x^2) dx at time level n (centered differences)."""
-    u = result.u
-    if not (1 <= n <= u.shape[0] - 2):
+    if not (1 <= n <= result.n_levels - 2):
         raise ValueError("level must be interior for the centered u_t")
-    ut = (u[n + 1] - u[n - 1]) / (2.0 * result.dt)
-    ux = np.gradient(u[n], result.dx)
+    ut = (result.level(n + 1) - result.level(n - 1)) / (2.0 * result.dt)
+    ux = np.gradient(result.level(n), result.dx)
     return float(0.5 * np.sum(ut**2 + ux**2) * result.dx)
 
 
@@ -137,10 +194,10 @@ def compare_fields(
     if not (x_lo < x_hi and t_lo <= t_hi):
         raise ValueError("empty comparison window")
     grid = char_field.grid
-    u, dt = leapfrog.u, leapfrog.dt
-    if u.shape[0] < 3:
+    dt = leapfrog.dt
+    if leapfrog.n_levels < 3:
         raise ValueError("too few levels for a centered difference")
-    times_l = dt * np.arange(1, u.shape[0] - 1)  # times of the centered u_t levels
+    times_l = dt * np.arange(1, leapfrog.n_levels - 1)  # times of the centered u_t levels
     xs = grid.x_nodes()
     xmask = (xs >= x_lo) & (xs <= x_hi)
     if not np.any(xmask):
@@ -150,7 +207,7 @@ def compare_fields(
         raise ValueError("window exceeds the leapfrog domain")
 
     def centred_u_t(j):  # u_t of leapfrog level j + 1 at the matched columns
-        return (u[j + 2, ix_leap] - u[j, ix_leap]) / (2.0 * dt)
+        return (leapfrog.level(j + 2)[ix_leap] - leapfrog.level(j)[ix_leap]) / (2.0 * dt)
 
     worst = None
     n_levels = char_field.levels.shape[0]

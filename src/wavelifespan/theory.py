@@ -109,13 +109,6 @@ def a_n_closed_form(p: int, n: int) -> Fraction:
     return (pf ** (2 * (n - 1)) - 1) / (pf - 1)
 
 
-def a_n_printed_form(p: int, n: int) -> Fraction:
-    """The (p^{2n-1} - 1)/(p - 1) variant; kept for reference, it does not
-    satisfy a_1 = 0 and is NOT used by the recursion."""
-    pf = Fraction(p)
-    return (pf ** (2 * n - 1) - 1) / (pf - 1)
-
-
 def C0_constant(a: float, b: float) -> float:
     return 3.0 ** (-abs(a)) * 2.0 ** (-abs(b)) / (8.0 * math.sqrt(2.0))
 

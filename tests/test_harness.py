@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavelifespan
 from wavelifespan.core import Family, GridSpec, InitialData, ModelParams
 from wavelifespan.harness import (
     apriori_csv,
@@ -13,8 +18,8 @@ from wavelifespan.harness import (
     sweep,
     verify_apriori,
 )
-from wavelifespan.kernels import FreeField
-from wavelifespan.solver import apply_duhamel_field, field_weighted_sup
+from wavelifespan.kernels import FreeField, weight_w
+from wavelifespan.solver import BLOCK, apply_duhamel_field, apriori_profiles, field_weighted_sup
 from wavelifespan.theory import D_a, E_ab, lifespan_bound
 
 
@@ -115,14 +120,35 @@ class TestSweep:
         assert not result.entries[0].blew_up()
 
 
-def stored_field_ratios(params, data, h, T_ladder, test_field):
-    """verify_apriori from whole stored fields, rescanning level prefixes per T."""
-    grid = GridSpec(h=h, t_max=max(T_ladder), pad=max(1.0, params.R))
+def stored_fields(params, data, grid, test_field):
+    """The test field U, L'(|U|^p) and L'(|B|^{p-1}|U|) as whole stored fields."""
     p, R = params.p, params.R
     band = FreeField(data, grid, params.epsilon).field(grid.n_t)
     U = band if test_field == "free" else apply_duhamel_field(np.abs(band) ** p, grid, params, R)
     LU = apply_duhamel_field(np.abs(U) ** p, grid, params, R)
     LB = apply_duhamel_field(np.abs(band) ** (p - 1) * np.abs(U), grid, params, R)
+    return U, LU, LB
+
+
+def stored_field_profiles(params, data, grid, test_field):
+    """apriori_profiles from whole stored fields, one level at a time."""
+    fields = stored_fields(params, data, grid, test_field)
+    x = grid.x_nodes()
+    out = np.empty((3, grid.n_t + 1))
+    for n in range(grid.n_t + 1):
+        lo, hi = grid.active_slice(n, params.R)
+        w = weight_w(x[lo : hi + 1], n * grid.h, params)
+        for row, V in enumerate(fields):
+            Vn = V[n, lo : hi + 1]
+            out[row, n] = np.max(np.where(Vn == 0.0, 0.0, w) * np.abs(Vn))
+    return out
+
+
+def stored_field_ratios(params, data, h, T_ladder, test_field):
+    """verify_apriori from whole stored fields, rescanning level prefixes per T."""
+    grid = GridSpec(h=h, t_max=max(T_ladder), pad=max(1.0, params.R))
+    p, R = params.p, params.R
+    U, LU, LB = stored_fields(params, data, grid, test_field)
     rows = []
     for T in T_ladder:
         n_T = grid.index_of_t(T)
@@ -154,6 +180,24 @@ class TestVerifyApriori:
         T_ladder = [0.5, 10.0, 20.0, 40.0, 80.0]
         rows = verify_apriori(params, data, 0.1, T_ladder, test_field)
         assert rows == stored_field_ratios(params, data, 0.1, T_ladder, test_field)
+
+    @pytest.mark.parametrize("test_field", ["free", "picard_U2"])
+    @pytest.mark.parametrize("n_levels", [2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1])
+    @pytest.mark.parametrize(
+        "p, a, b, R, family",
+        [
+            (2.0, -0.5, 0.0, 1.0, Family.bump),
+            (2.0, 0.0, 0.0, 2.0, Family.bump),  # a = 0: the 1/log outer weight
+            (3.0, -1.5, 0.0, 1.0, Family.bump_pair),
+        ],
+    )
+    def test_blocked_profiles_equal_per_level_reference(self, p, a, b, R, family, n_levels, test_field):
+        params = ModelParams(p, a, b, 0.01, R)
+        data = InitialData(family, 0.7, 1.0, R)
+        grid = GridSpec(h=0.1, t_max=0.1 * (n_levels - 1), pad=max(1.0, R))
+        assert grid.n_t + 1 == n_levels
+        profiles = apriori_profiles(params, data, grid, test_field)
+        assert np.array_equal(profiles, stored_field_profiles(params, data, grid, test_field))
 
     @pytest.mark.parametrize("test_field", ["free", "picard_U2"])
     def test_zero_data_is_rejected(self, test_field):
@@ -223,6 +267,19 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4
         assert lines[0].startswith("n=1 a_n=0")
+
+    def test_module_entry_point(self):
+        src = str(Path(wavelifespan.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def run(*argv):
+            cmd = [sys.executable, "-m", "wavelifespan", *argv]
+            return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+        proc = run("classify", "--p", "2", "--a", "-0.5", "--b", "0")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "poly_a exponent 2"
+        assert run("solve", "--eps", "nan").returncode == 1
 
     def test_unknown_flag_is_validation_error(self):
         assert run_cli(["classify", "--nonsense", "1"]) == 1

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from wavelifespan.core import Family, GridSpec, InitialData, ModelParams
 from wavelifespan.kernels import (
     bracket,
-    duhamel_L,
     duhamel_Lprime,
     field_sampler,
     free_solution,
@@ -195,32 +194,6 @@ class TestDuhamelLprime:
             duhamel_Lprime(_const(1.0), 0.013, 1.0, ModelParams(2, 0, 0, 0.1), 0.05)
         with pytest.raises(ValueError):
             duhamel_Lprime(_const(1.0), 0.0, 1.003, ModelParams(2, 0, 0, 0.1), 0.05)
-
-
-class TestDuhamelL:
-    def test_zero(self):
-        assert duhamel_L(_const(0.0), 0.0, 1.0, ModelParams(2, 0, 0, 0.1), 0.05) == 0.0
-
-    def test_unit_weights_give_half_t_squared(self):
-        params = ModelParams(2, -1, -1, 0.1)
-        for t in (1.0, 2.0):
-            assert duhamel_L(_const(1.0), 0.0, t, params, 0.05) == pytest.approx(
-                0.5 * t * t, rel=1e-12
-            )
-
-    def test_against_nested_quadrature(self):
-        params = ModelParams(2, 0, 0, 0.1)
-        x, t = 0.0, 1.0
-
-        def inner(s):
-            return quad(
-                lambda y: float(nonlinear_weight(y, s, params)), x - (t - s), x + (t - s),
-                epsabs=1e-12,
-            )[0]
-
-        oracle = 0.5 * quad(inner, 0.0, t, epsabs=1e-10)[0]
-        val = duhamel_L(_const(1.0), x, t, params, 0.005)
-        assert val == pytest.approx(oracle, abs=1e-6)
 
 
 class TestFieldSampler:

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from wavelifespan.core import Family, GridSpec, InitialData, ModelParams, Status
-from wavelifespan.kernels import free_solution
-from wavelifespan.oracle import compare_fields, discrete_energy, leapfrog_solve
-from wavelifespan.solver import march
+from wavelifespan.core import (
+    Cause,
+    Family,
+    GridSpec,
+    InitialData,
+    LifespanEstimate,
+    ModelParams,
+    Status,
+)
+from wavelifespan.kernels import free_solution, nonlinear_weight
+from wavelifespan.oracle import LeapfrogResult, compare_fields, discrete_energy, leapfrog_solve
+from wavelifespan.solver import default_blow_threshold, march
 
 
 class TestLinearLimit:
@@ -144,3 +152,110 @@ class TestCompareFields:
             leapfrog_solve(params, bump_data, dx=0.05, cfl=1.5, t_max=1.0)
         with pytest.raises(ValueError):
             leapfrog_solve(params, bump_data, dx=-0.05, cfl=0.9, t_max=1.0)
+
+
+def dense_leapfrog(params, data, dx, cfl=0.9, t_max=10.0):
+    """leapfrog_solve updating and storing every node of every level."""
+    blow_threshold = default_blow_threshold(params, data)
+    eps, p = params.epsilon, params.p
+    L = t_max + params.R + 1.0
+    n_side = int(np.ceil(L / dx))
+    x = dx * np.arange(-n_side, n_side + 1)
+    dt = cfl * dx
+    n_t = int(np.ceil(t_max / dt))
+    lam2 = (dt / dx) ** 2
+
+    u = np.zeros((n_t + 1, x.size))
+    u[0] = eps * data.f(x)
+    g0 = eps * data.g(x)
+    u0_xx = np.zeros_like(x)
+    u0_xx[1:-1] = (u[0, 2:] - 2.0 * u[0, 1:-1] + u[0, :-2]) / dx**2
+    src0 = np.abs(g0) ** p * nonlinear_weight(x, 0.0, params)
+    u[1] = u[0] + dt * g0 + 0.5 * dt**2 * (u0_xx + src0)
+    u[1, 0] = u[1, -1] = 0.0
+
+    status, cause, T_blow, n_done = Status.survived, None, None, 1
+    sup_history = [float(np.max(np.abs(g0))), float(np.max(np.abs((u[1] - u[0]) / dt)))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_t):
+            t = n * dt
+            if n >= 2:
+                ut = (u[n] - u[n - 2]) / (2.0 * dt)
+            else:
+                ut = (u[1] - u[0]) / dt
+            src = np.abs(ut) ** p * nonlinear_weight(x, t, params)
+            unew = np.zeros_like(x)
+            unew[1:-1] = (
+                2.0 * u[n, 1:-1]
+                - u[n - 1, 1:-1]
+                + lam2 * (u[n, 2:] - 2.0 * u[n, 1:-1] + u[n, :-2])
+                + dt**2 * src[1:-1]
+            )
+            sup_ut = float(np.max(np.abs(ut)))
+            sup_history.append(sup_ut)
+            if not np.all(np.isfinite(unew)) or sup_ut > blow_threshold:
+                status, cause, T_blow = Status.blowup, Cause.threshold_exceeded, t - 0.5 * dt
+                break
+            u[n + 1] = unew
+            n_done = n + 1
+    u = u[: n_done + 1]
+    # every node of every level stored: the dense layout of a LeapfrogResult
+    result = LeapfrogResult(
+        values=u.ravel(), lo=np.zeros(u.shape[0], dtype=int),
+        offsets=x.size * np.arange(u.shape[0] + 1), x=x, dx=dx, dt=dt,
+    )
+    estimate = LifespanEstimate(status=status, T_blow=T_blow, h=dt, sup_history=sup_history, cause=cause)
+    return u, result, estimate
+
+
+def dense_energy(u, dx, dt, n):
+    ut = (u[n + 1] - u[n - 1]) / (2.0 * dt)
+    ux = np.gradient(u[n], dx)
+    return float(0.5 * np.sum(ut**2 + ux**2) * dx)
+
+
+class TestReachLimitedStorage:
+    @pytest.mark.parametrize("family", [Family.bump, Family.bump_pair])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize(
+        "eps, t_max, status",
+        [(1.0, 8.0, Status.blowup), (0.01, 3.0, Status.survived)],
+    )
+    def test_equals_dense_reference(self, family, p, eps, t_max, status):
+        # with R off the lattice the outermost nodes of |x| <= R carry data,
+        # so a reach one node too narrow changes u
+        params = ModelParams(p, -1.0, -1.0, eps, 1.01)
+        data = InitialData(family, 0.7, 1.0, 1.01)
+        result, est = leapfrog_solve(params, data, dx=0.02, cfl=0.9, t_max=t_max)
+        u_ref, dense, est_ref = dense_leapfrog(params, data, dx=0.02, cfl=0.9, t_max=t_max)
+        assert est.status is est_ref.status is status
+        assert np.array_equal(result.u, u_ref)
+        assert est.sup_history == est_ref.sup_history
+        assert est.T_blow == est_ref.T_blow
+        n_last = result.n_levels - 2
+        for n in (1, n_last // 2, n_last):
+            assert discrete_energy(result, n) == dense_energy(u_ref, result.dx, result.dt, n)
+        field, _ = march(params, data, GridSpec(h=0.1, t_max=t_max, pad=1.1))
+        T = min(t_max, est.T_blow or t_max)
+        window = (-(0.8 * T + 2.0), 0.8 * T + 2.0, 0.0, 0.8 * T)
+        assert compare_fields(field, result, window) == compare_from_u_t_levels(field, dense, window)
+        assert result.values.size < u_ref.size
+
+    def test_reach_clamped_at_both_dirichlet_ends(self, bump_data):
+        params = ModelParams(2.0, 0.0, 0.0, 0.1, 1.0)
+        result, est = leapfrog_solve(params, bump_data, dx=0.05, cfl=0.5, t_max=3.0)
+        u_ref, _, est_ref = dense_leapfrog(params, bump_data, dx=0.05, cfl=0.5, t_max=3.0)
+        assert est.status is Status.survived
+        # the last level spans the whole interior: its reach hit both ends
+        n_last = result.n_levels - 1
+        width = result.offsets[n_last + 1] - result.offsets[n_last]
+        assert result.lo[n_last] == 1 and width == result.x.size - 2
+        assert np.array_equal(result.u, u_ref)
+        assert est.sup_history == est_ref.sup_history
+
+    def test_criterion_5_run_stores_the_reachable_nodes_only(self, bump_data):
+        params = ModelParams(2.0, -1.0, -1.0, 0.5, 1.0)
+        result, est = leapfrog_solve(params, bump_data, dx=0.005, cfl=0.9, t_max=10.0)
+        assert est.status is Status.blowup
+        n_t = int(np.ceil(10.0 / result.dt))
+        assert result.values.size <= 0.55 * (n_t + 1) * result.x.size

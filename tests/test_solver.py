@@ -156,6 +156,17 @@ class TestFreeField:
             lo, hi = grid.active_slice(n, data.R)
             assert np.max(np.abs(free.level(n, lo, hi) - ref[lo : hi + 1])) <= 1e-14
 
+    def test_block_rows_equal_levels(self):
+        data = InitialData(Family.bump_pair, 0.7, 1.0, 1.0)
+        grid = GridSpec(h=0.05, t_max=3.0, pad=1.0)
+        free = FreeField(data, grid, 0.35)
+        for n0, n1 in [(0, grid.n_t + 1), (0, 1), (5, 17), (grid.n_t, grid.n_t + 1)]:
+            lo, hi = grid.active_slice(n1 - 1, data.R)
+            block = free.block(n0, n1, lo, hi)
+            assert block.shape == (n1 - n0, hi - lo + 1)
+            for n in range(n0, n1):
+                assert np.array_equal(block[n - n0], free.level(n, lo, hi))
+
 
 class TestMarchBasics:
     def test_zero_data_stays_zero(self):
@@ -377,6 +388,21 @@ class TestNormsAndReconstruction:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,x,u_t"
         assert len(lines) == 1 + field.levels.shape[0] * field.grid.n_x
+
+    def test_field_csv_bytes_equal_row_by_row_writer(self, tmp_path):
+        # f' != 0 gives u_t of both signs
+        data = InitialData(Family.bump_pair, 0.7, 1.0, 1.0)
+        field, _ = march(ModelParams(2.0, 0.0, 0.0, 0.3, 1.0), data, GridSpec(h=0.1, t_max=2.0, pad=1.0))
+        assert np.any(field.levels < 0)
+        path = tmp_path / "field.csv"
+        dump_field_csv(field, str(path))
+        x = field.grid.x_nodes()
+        ref = "t,x,u_t\n"
+        for n in range(field.levels.shape[0]):
+            t = n * field.grid.h
+            for i in range(field.grid.n_x):
+                ref += f"{t:.10g},{x[i]:.10g},{field.levels[n, i]:.17g}\n"
+        assert path.read_bytes() == ref.encode()
 
 
 def test_package_import_leaves_scipy_out():

@@ -18,7 +18,6 @@ from wavelifespan.theory import (
     K2,
     S_p2,
     a_n_closed_form,
-    a_n_printed_form,
     blowup_sequence,
     classify_regime,
     con1_lhs,
@@ -137,15 +136,11 @@ class TestSeries:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_a_n_recursion_matches_closed_form(self, p):
+        assert a_n_closed_form(p, 1) == 0
         a_n = Fraction(0)
         for n in range(1, 13):
             assert a_n == a_n_closed_form(p, n)
             a_n = Fraction(p) ** 2 * a_n + p + 1
-
-    def test_printed_variant_differs(self):
-        # the printed closed form does not satisfy a_1 = 0 for any p > 1
-        assert a_n_printed_form(2, 1) == 1
-        assert a_n_closed_form(2, 1) == 0
 
 
 class TestConstants:
