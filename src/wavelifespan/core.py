@@ -285,6 +285,9 @@ def _data_from_config(cfg: dict, R: float) -> InitialData:
 
 def load_config(cfg: dict) -> tuple[ModelParams, InitialData, GridSpec]:
     """Parse the JSON config schema into the three core types."""
+    missing = [key for key in ("p", "a", "b", "epsilon") if key not in cfg]
+    if missing:
+        raise ValueError(f"config lacks the keys {', '.join(missing)}")
     params = ModelParams(
         p=float(cfg["p"]),
         a=float(cfg["a"]),

@@ -4,10 +4,7 @@ a-priori ratio verification, and CSV/report emission."""
 from __future__ import annotations
 
 import argparse
-import json
-import logging
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -32,8 +29,6 @@ from .core import (
 # benchmark wraps them at these names
 from .kernels import free_solution_dt  # noqa: F401
 from .solver import apply_duhamel_field, apriori_profiles, dump_field_csv, march  # noqa: F401
-
-log = logging.getLogger("wavelifespan")
 
 RESOLVE_TOL = 0.05
 
@@ -312,8 +307,6 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
-    level = os.environ.get("LIFESPAN_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -392,7 +385,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             rows = verify_apriori(params, data, args.h, args.T, args.field)
             _emit(apriori_csv(rows), args.out)
             return 0
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # malformed input, unreadable or unwritable file
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

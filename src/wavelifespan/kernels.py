@@ -1,9 +1,10 @@
 """Pointwise weights, d'Alembert formulas, and trapezoid Duhamel operators.
 
 The functions are pure; CharAccumulator carries the running sums of one
-pass over the levels.  Duhamel integrals are taken along backward
-characteristics on the lattice dx = dt = h, so every integrand sample sits
-exactly on a node and no interpolation is needed.
+pass over the levels, seeded with the free data eps*u_t0 when the pass
+needs it.  Duhamel integrals are taken along backward characteristics on
+the lattice dx = dt = h, so every integrand sample sits exactly on a node
+and no interpolation is needed.
 """
 
 from __future__ import annotations
@@ -41,84 +42,67 @@ def free_solution_dt(x, t, data: InitialData, epsilon: float):
     return float(out) if out.ndim == 0 else out
 
 
-class FreeField:
-    """eps*u_t0 on a characteristic lattice, read off two sampled halves.
-
-    With dx = dt = h the feet x_i +/- t_n of node (i, n) are the nodes
-    i +/- n, so eps*u_t0(x_i, t_n) = right[i + n] + left[i - n] with
-    right = eps/2 (g + f') and left = eps/2 (g - f') sampled once on the
-    lattice padded by n_t nodes at each end (stored offset by n_t).
-    free_solution_dt is the pointwise reference for the same values.
-    """
-
-    def __init__(self, data: InitialData, grid: GridSpec, epsilon: float):
-        self.grid, self.R, self.n_t = grid, data.R, grid.n_t
-        y = grid.x_min + grid.h * np.arange(-self.n_t, grid.n_x + self.n_t)
-        g, fp = data.g(y), data.f_prime(y)
-        self.right = 0.5 * epsilon * (g + fp)
-        self.left = 0.5 * epsilon * (g - fp)
-
-    def level(self, n: int, lo: int, hi: int, out=None) -> np.ndarray:
-        """Values at nodes lo..hi of level n (into out when given)."""
-        k = self.n_t
-        return np.add(
-            self.right[lo + n + k : hi + n + k + 1], self.left[lo - n + k : hi - n + k + 1], out=out
-        )
-
-    def block(self, n0: int, n1: int, lo: int, hi: int) -> np.ndarray:
-        """Values at nodes lo..hi of levels n0..n1-1, one level per row.
-
-        Row j equals level(n0 + j, lo, hi): the windows of right move one
-        node up per level and those of left one node down.
-        """
-        k, m = self.n_t, hi - lo + 1
-        right = sliding_window_view(self.right, m)[lo + n0 + k : lo + n1 + k]
-        left = sliding_window_view(self.left, m)[lo - n1 + k + 1 : lo - n0 + k + 1]
-        return right + left[::-1]
-
-    def field(self, n_last: int) -> np.ndarray:
-        """Levels 0..n_last, written row by row inside the cone |x| <= t + R.
-
-        Outside that cone the free data vanishes, and those zeros are left
-        unwritten.
-        """
-        out = np.zeros((n_last + 1, self.grid.n_x))
-        for n in range(n_last + 1):
-            lo, hi = self.grid.active_slice(n, self.R)
-            self.level(n, lo, hi, out=out[n, lo : hi + 1])
-        return out
-
-
 class CharAccumulator:
     """Running trapezoid sums of a source along both characteristic families.
 
     Node (i, n) reads the plus diagonal i + n and the minus diagonal i - n
     (stored offset by n_t) of a lattice with n_x nodes and levels 0..n_t.
-    The sums are kept without the trapezoid factor h/2.
+    The sums include the trapezoid factor c = h/2, so plus + minus at a node
+    is the trapezoid L' of the levels below it.  A seeded accumulator starts
+    the two families at the halves of eps*u_t0 that d'Alembert carries along
+    them, eps/2 (g + f') and eps/2 (g - f') at the feet of their diagonals,
+    so plus + minus adds eps*u_t0 as well.
     """
 
     def __init__(self, n_x: int, n_t: int, h: float):
-        self.h, self.off = h, n_t
+        self.c, self.off = 0.5 * h, n_t
         self.plus = np.zeros(n_x + n_t)
         self.minus = np.zeros(n_x + n_t)
+
+    @classmethod
+    def seeded(cls, data: InitialData, grid: GridSpec, epsilon: float) -> CharAccumulator:
+        """Accumulator on grid whose sums start at the free data.
+
+        free_solution_dt is the pointwise reference for the seeded values.
+        """
+        k, n_x = grid.n_t, grid.n_x
+        acc = cls(n_x, k, grid.h)
+        y = grid.x_min + grid.h * np.arange(-k, n_x + k)
+        g, fp = data.g(y), data.f_prime(y)
+        acc.plus[:] = 0.5 * epsilon * (g[k:] + fp[k:])
+        acc.minus[:] = 0.5 * epsilon * (g[: n_x + k] - fp[: n_x + k])
+        return acc
 
     def diagonals(self, n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of the plus and minus sums through nodes lo..hi of level n."""
         k = self.off
         return self.plus[lo + n : hi + n + 1], self.minus[lo - n + k : hi - n + k + 1]
 
+    def values(self, n0: int, n1: int, lo: int, hi: int) -> np.ndarray:
+        """plus + minus at nodes lo..hi of levels n0..n1-1, one level per row.
+
+        The windows of plus move one node up per level and those of minus
+        one node down.
+        """
+        k, m = self.off, hi - lo + 1
+        plus = sliding_window_view(self.plus, m)[lo + n0 : lo + n1]
+        minus = sliding_window_view(self.minus, m)[lo - n1 + k + 1 : lo - n0 + k + 1]
+        return plus + minus[::-1]
+
     def explicit_step(self, n: int, lo: int, hi: int, G: np.ndarray) -> np.ndarray:
-        """Explicit trapezoid L' at nodes lo..hi of level n, then add G there.
+        """Explicit trapezoid value at nodes lo..hi of level n, then add G there.
 
         G is the weighted source on level n.  Level 0 has no history, so its
-        value is 0 and G enters the sums at the trapezoid end weight 1/2.
+        value is the seed and G enters the sums at the trapezoid end weight
+        1/2.
         """
         plus, minus = self.diagonals(n, lo, hi)
+        out = plus + minus
         if n > 0:
-            out = 0.5 * self.h * (plus + minus + G)
+            G = self.c * G
+            out += G
         else:
-            out = np.zeros_like(G)
-            G = 0.5 * G
+            G = 0.5 * self.c * G
         plus += G
         minus += G
         return out

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Cause, InitialData, LifespanEstimate, ModelParams, Status
+from .core import Cause, InitialData, LifespanEstimate, ModelParams, Status, require_valid
 from .kernels import nonlinear_weight
 from .solver import default_blow_threshold
 
@@ -83,10 +83,13 @@ def leapfrog_solve(
     Levels are updated and stored on that reach, clamped to the interior
     of the Dirichlet domain; u is exactly 0 elsewhere.
     """
+    require_valid(params, data)
     if not (0 < cfl <= 1):
         raise ValueError("cfl must lie in (0, 1]")
-    if dx <= 0:
-        raise ValueError("dx must be positive")
+    if not (0 < dx < np.inf):
+        raise ValueError("dx must be positive and finite")
+    if not (0 < t_max < np.inf):
+        raise ValueError("t_max must be positive and finite")
     if blow_threshold is None:
         blow_threshold = default_blow_threshold(params, data)
 

@@ -6,8 +6,9 @@ values.  Running prefix sums along both characteristic families
 (kernels.CharAccumulator) make each node update O(1) amortized; the same
 accumulator serves march, apply_duhamel_field and the streamed a-priori
 norms of apriori_profiles, which walks the levels in blocks of BLOCK and
-steps the accumulators per level only.  The free data at x_i +/- t_n is
-read off nodes i +/- n of two halves sampled once.  The s = t endpoint
+steps the accumulators per level only.  Seeded with the halves of the free
+data that travel along each family, the two sums through a node add up to
+eps*u_t0 plus the trapezoid over the levels below it.  The s = t endpoint
 couples the node to itself; one vectorised Newton iteration per level
 resolves it after a closed-form fold test has ruled out blow-up.
 """
@@ -31,13 +32,7 @@ from .core import (
 )
 
 # free_solution_dt stays bound here because the benchmark wraps it at this name
-from .kernels import (  # noqa: F401
-    CharAccumulator,
-    FreeField,
-    free_solution_dt,
-    nonlinear_weight,
-    weight_w,
-)
+from .kernels import CharAccumulator, free_solution_dt, nonlinear_weight, weight_w  # noqa: F401
 
 
 # levels per block of apriori_profiles: enough to amortise the per-call cost
@@ -89,10 +84,9 @@ def _solve_level(
     return z, "failed"
 
 
-def _masked_weighted_sup(U: np.ndarray, w: np.ndarray) -> float:
-    """sup |w*U| treating w*0 as 0 even where the weight is singular."""
-    prod = np.where(U == 0.0, 0.0, w) * np.abs(U)
-    return float(np.max(prod)) if prod.size else 0.0
+def _masked_weighted_sup(U: np.ndarray, w: np.ndarray):
+    """sup |w*U| over the last axis, treating w*0 as 0 even where w is singular."""
+    return np.max(np.where(U == 0.0, 0.0, w) * np.abs(U), axis=-1)
 
 
 def march(
@@ -113,20 +107,14 @@ def march(
         raise ValueError("inner_tol must be positive")
 
     h, p, R = grid.h, params.p, params.R
-    n_x, n_t = grid.n_x, grid.n_t
     x = grid.x_nodes()
-    free = FreeField(data, grid, params.epsilon)
-
-    acc = CharAccumulator(n_x, n_t, h)
-    levels = np.zeros((n_t + 1, n_x)) if keep_field else None
+    acc = CharAccumulator.seeded(data, grid, params.epsilon)
+    levels = np.zeros((grid.n_t + 1, grid.n_x)) if keep_field else None
 
     lo, hi = grid.active_slice(0, R)
     xa = x[lo : hi + 1]
-    U0 = free.level(0, lo, hi)
-    F0 = 0.5 * np.abs(U0) ** p * nonlinear_weight(xa, 0.0, params)
-    plus, minus = acc.diagonals(0, lo, hi)
-    plus += F0
-    minus += F0
+    U0 = acc.values(0, 1, lo, hi)[0]  # the seed: level 0 has no history
+    acc.explicit_step(0, lo, hi, np.abs(U0) ** p * nonlinear_weight(xa, 0.0, params))
     if keep_field:
         levels[0, lo : hi + 1] = U0
 
@@ -141,14 +129,13 @@ def march(
     n_done = 0
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_t + 1):
+        for n in range(1, grid.n_t + 1):
             t = n * h
             lo, hi = grid.active_slice(n, R)
             xa = x[lo : hi + 1]
-            W = nonlinear_weight(xa, t, params)
+            gamma = acc.c * nonlinear_weight(xa, t, params)
             plus, minus = acc.diagonals(n, lo, hi)
-            base = free.level(n, lo, hi) + 0.5 * h * (plus + minus)
-            z, flag = _solve_level(base, 0.5 * h * W, p, inner_tol, inner_max, blow_threshold)
+            z, flag = _solve_level(plus + minus, gamma, p, inner_tol, inner_max, blow_threshold)
             sup_history.append(float(np.max(np.abs(z))))
             if flag != "ok":
                 T_blow = t - 0.5 * h
@@ -158,7 +145,7 @@ def march(
                     status, cause = Status.inner_iteration_failed, Cause.fixed_point_diverged
                 break
 
-            F = np.abs(z) ** p * W
+            F = np.abs(z) ** p * gamma
             plus += F  # views: scatter along both characteristic diagonals
             minus += F
             if keep_field:
@@ -261,7 +248,7 @@ def apriori_profiles(
         raise ValueError(f"unknown test field {test_field!r}")
     p, h, R = params.p, grid.h, params.R
     x = grid.x_nodes()
-    free = FreeField(data, grid, params.epsilon)
+    free = CharAccumulator.seeded(data, grid, params.epsilon)
     acc_U, acc_LU, acc_LB = (CharAccumulator(grid.n_x, grid.n_t, h) for _ in range(3))
     out = np.empty((3, grid.n_t + 1))
     nonzero = False
@@ -273,7 +260,7 @@ def apriori_profiles(
         t = h * np.arange(n0, n1)[:, None]
         W = nonlinear_weight(xa, t, params)
         w = weight_w(xa, t, params)
-        B = free.block(n0, n1, LO, HI)
+        B = free.values(n0, n1, LO, HI)
         if test_field == "free":
             U = B
         else:
@@ -281,8 +268,7 @@ def apriori_profiles(
         nonzero = nonzero or bool(np.any(U != 0.0))
         LU = _explicit_block(acc_LU, n0, slices, np.abs(U) ** p * W)
         LB = _explicit_block(acc_LB, n0, slices, np.abs(B) ** (p - 1) * np.abs(U) * W)
-        for row, V in enumerate((U, LU, LB)):  # _masked_weighted_sup of each level
-            out[row, n0:n1] = np.max(np.where(V == 0.0, 0.0, w) * np.abs(V), axis=1)
+        out[:, n0:n1] = [_masked_weighted_sup(V, w) for V in (U, LU, LB)]
     if not nonzero:
         raise ValueError("zero-norm test field")
     return out
@@ -321,7 +307,7 @@ def picard_iterate(
     if n_T > grid.n_t:
         raise ValueError("T exceeds the grid horizon")
     h = grid.h
-    free = FreeField(data, grid, params.epsilon).field(n_T)
+    free = CharAccumulator.seeded(data, grid, params.epsilon).values(0, n_T + 1, 0, grid.n_x - 1)
     sub = GridSpec(h=h, t_max=n_T * h, pad=grid.pad + (grid.t_max - n_T * h))
     report = PicardReport(grid=sub)
     U = np.zeros_like(free)  # U_1 = 0

@@ -371,6 +371,8 @@ def phase_diagram(
     """
     if n_a < 2 or n_b < 2:
         raise ValueError("n_a and n_b must be >= 2")
+    if not all(math.isfinite(v) for v in (p, *a_range, *b_range)):
+        raise ValueError("p and the ends of both ranges must be finite")
     table = _TABLES.get(mode)
     if table is None:
         raise ValueError(f"unknown mode {mode!r}")

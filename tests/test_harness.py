@@ -18,7 +18,7 @@ from wavelifespan.harness import (
     sweep,
     verify_apriori,
 )
-from wavelifespan.kernels import FreeField, weight_w
+from wavelifespan.kernels import CharAccumulator, weight_w
 from wavelifespan.solver import BLOCK, apply_duhamel_field, apriori_profiles, field_weighted_sup
 from wavelifespan.theory import D_a, E_ab, lifespan_bound
 
@@ -123,7 +123,7 @@ class TestSweep:
 def stored_fields(params, data, grid, test_field):
     """The test field U, L'(|U|^p) and L'(|B|^{p-1}|U|) as whole stored fields."""
     p, R = params.p, params.R
-    band = FreeField(data, grid, params.epsilon).field(grid.n_t)
+    band = CharAccumulator.seeded(data, grid, params.epsilon).values(0, grid.n_t + 1, 0, grid.n_x - 1)
     U = band if test_field == "free" else apply_duhamel_field(np.abs(band) ** p, grid, params, R)
     LU = apply_duhamel_field(np.abs(U) ** p, grid, params, R)
     LB = apply_duhamel_field(np.abs(band) ** (p - 1) * np.abs(U), grid, params, R)
@@ -230,6 +230,10 @@ class TestVerifyApriori:
 
 
 class TestCli:
+    @staticmethod
+    def no_march(*args, **kwargs):
+        raise AssertionError("march reached with malformed input")
+
     def test_classify_output(self, capsys):
         assert run_cli(["classify", "--p", "2", "--a", "-0.5", "--b", "0"]) == 0
         assert capsys.readouterr().out.strip() == "poly_a exponent 2"
@@ -303,8 +307,20 @@ class TestCli:
         ],
     )
     def test_non_finite_input_exits_1_before_marching(self, argv, monkeypatch):
-        def no_march(*args, **kwargs):
-            raise AssertionError("march reached with non-finite input")
-
-        monkeypatch.setattr("wavelifespan.harness.march", no_march)
+        monkeypatch.setattr("wavelifespan.harness.march", self.no_march)
         assert run_cli(argv) == 1
+
+    def test_non_finite_phase_diagram_range_exits_1(self, capsys):
+        assert run_cli(["phase-diagram", "--a-min", "inf"]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_config_without_p_exits_1_naming_the_key(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("wavelifespan.harness.march", self.no_march)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"a": 0.0, "b": 0.0, "epsilon": 0.1}))
+        assert run_cli(["solve", "--config", str(cfg)]) == 1
+        assert "lacks the keys p" in capsys.readouterr().err
+
+    def test_missing_config_file_exits_1(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("wavelifespan.harness.march", self.no_march)
+        assert run_cli(["solve", "--config", str(tmp_path / "absent.json")]) == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -150,8 +152,20 @@ class TestCompareFields:
         params = ModelParams(2.0, 0.0, 0.0, 0.1, 1.0)
         with pytest.raises(ValueError):
             leapfrog_solve(params, bump_data, dx=0.05, cfl=1.5, t_max=1.0)
-        with pytest.raises(ValueError):
-            leapfrog_solve(params, bump_data, dx=-0.05, cfl=0.9, t_max=1.0)
+        for dx in (-0.05, math.inf, math.nan):
+            with pytest.raises(ValueError, match="dx must be positive and finite"):
+                leapfrog_solve(params, bump_data, dx=dx, cfl=0.9, t_max=1.0)
+
+    def test_non_finite_epsilon_rejected(self, bump_data):
+        params = ModelParams(2.0, -1.0, -1.0, math.nan, 1.0)
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            leapfrog_solve(params, bump_data, dx=0.1, t_max=2.0)
+
+    @pytest.mark.parametrize("t_max", [math.inf, -3.0])
+    def test_non_finite_or_negative_t_max_rejected(self, bump_data, t_max):
+        params = ModelParams(2.0, -1.0, -1.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+            leapfrog_solve(params, bump_data, dx=0.1, t_max=t_max)
 
 
 def dense_leapfrog(params, data, dx, cfl=0.9, t_max=10.0):

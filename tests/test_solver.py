@@ -9,7 +9,12 @@ import pytest
 
 import wavelifespan
 from wavelifespan.core import Family, GridSpec, InitialData, ModelParams, Status
-from wavelifespan.kernels import FreeField, duhamel_Lprime, field_sampler, free_solution_dt
+from wavelifespan.kernels import (
+    CharAccumulator,
+    duhamel_Lprime,
+    field_sampler,
+    free_solution_dt,
+)
 from wavelifespan.solver import (
     _solve_level,
     apply_duhamel_field,
@@ -142,30 +147,47 @@ class TestGoldenLifespan:
         assert len(est.sup_history) == n_sup
 
 
-class TestFreeField:
-    def test_matches_pointwise_reference_on_every_level(self):
-        # bump_pair has f' != 0, which exercises the sign of each half
-        data = InitialData(Family.bump_pair, 0.7, 1.0, 1.0)
-        grid = GridSpec(h=0.05, t_max=3.0, pad=1.0)
-        free = FreeField(data, grid, 0.35)
-        xs = grid.x_nodes()
-        field = free.field(grid.n_t)
-        for n in range(grid.n_t + 1):
-            ref = free_solution_dt(xs, n * grid.h, data, 0.35)
-            assert np.max(np.abs(field[n] - ref)) <= 1e-14
-            lo, hi = grid.active_slice(n, data.R)
-            assert np.max(np.abs(free.level(n, lo, hi) - ref[lo : hi + 1])) <= 1e-14
+class TestSeededAccumulator:
+    # bump_pair has f' != 0, which exercises the sign of each half
+    data = InitialData(Family.bump_pair, 0.7, 1.0, 1.0)
+    grid = GridSpec(h=0.05, t_max=3.0, pad=1.0)
 
-    def test_block_rows_equal_levels(self):
-        data = InitialData(Family.bump_pair, 0.7, 1.0, 1.0)
-        grid = GridSpec(h=0.05, t_max=3.0, pad=1.0)
-        free = FreeField(data, grid, 0.35)
+    def test_values_match_pointwise_reference_on_every_level(self):
+        grid = self.grid
+        field = CharAccumulator.seeded(self.data, grid, 0.35).values(0, grid.n_t + 1, 0, grid.n_x - 1)
+        xs = grid.x_nodes()
+        for n in range(grid.n_t + 1):
+            ref = free_solution_dt(xs, n * grid.h, self.data, 0.35)
+            assert np.max(np.abs(field[n] - ref)) <= 1e-14
+
+    def test_value_rows_equal_diagonal_sums(self):
+        grid = self.grid
+        acc = CharAccumulator.seeded(self.data, grid, 0.35)
         for n0, n1 in [(0, grid.n_t + 1), (0, 1), (5, 17), (grid.n_t, grid.n_t + 1)]:
-            lo, hi = grid.active_slice(n1 - 1, data.R)
-            block = free.block(n0, n1, lo, hi)
+            lo, hi = grid.active_slice(n1 - 1, self.data.R)
+            block = acc.values(n0, n1, lo, hi)
             assert block.shape == (n1 - n0, hi - lo + 1)
             for n in range(n0, n1):
-                assert np.array_equal(block[n - n0], free.level(n, lo, hi))
+                plus, minus = acc.diagonals(n, lo, hi)
+                assert np.array_equal(block[n - n0], plus + minus)
+
+    def test_seeds_are_the_halves_at_the_feet_of_their_diagonals(self):
+        grid, data, eps = self.grid, self.data, 0.35
+        acc = CharAccumulator.seeded(data, grid, eps)
+        i = np.arange(grid.n_x)
+        for n in (0, 1, 17, grid.n_t):
+            plus, minus = acc.diagonals(n, 0, grid.n_x - 1)
+            up, down = grid.x_min + grid.h * (i + n), grid.x_min + grid.h * (i - n)
+            assert np.array_equal(plus, 0.5 * eps * (data.g(up) + data.f_prime(up)))
+            assert np.array_equal(minus, 0.5 * eps * (data.g(down) - data.f_prime(down)))
+
+    def test_unseeded_level_0_returns_zeros_and_adds_half_the_weighted_source(self):
+        acc = CharAccumulator(n_x=11, n_t=4, h=0.1)
+        G = np.linspace(1.0, 2.0, 5)
+        assert np.array_equal(acc.explicit_step(0, 3, 7, G), np.zeros(5))
+        for sums in acc.diagonals(0, 3, 7):
+            assert np.array_equal(sums, 0.5 * acc.c * G)
+        assert np.count_nonzero(acc.plus) == np.count_nonzero(acc.minus) == 5
 
 
 class TestMarchBasics:
