@@ -264,11 +264,29 @@ def require_valid(params: ModelParams, data: InitialData, grid: Optional[GridSpe
         raise ValueError("invalid configuration: " + "; ".join(violations))
 
 
+def _number(cfg: dict, key: str, default: Optional[float] = None, where: str = "") -> float:
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"config {where}{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _section(cfg: dict, key: str) -> dict:
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ValueError(f"config {key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _bump_on(cfg: dict, key: str) -> bool:
+    family = _section(cfg, key).get("family", "zero")
+    if family not in ("zero", "bump"):
+        raise ValueError(f"config {key}.family must be 'zero' or 'bump', got {family!r}")
+    return family == "bump"
+
+
 def _data_from_config(cfg: dict, R: float) -> InitialData:
-    f_cfg = cfg.get("f", {"family": "zero", "amplitude": 0.0})
-    g_cfg = cfg.get("g", {"family": "zero", "amplitude": 0.0})
-    f_on = f_cfg.get("family", "zero") == "bump"
-    g_on = g_cfg.get("family", "zero") == "bump"
+    f_on, g_on = _bump_on(cfg, "f"), _bump_on(cfg, "g")
     if f_on:
         family = Family.bump_pair
     elif g_on:
@@ -277,30 +295,37 @@ def _data_from_config(cfg: dict, R: float) -> InitialData:
         family = Family.zero
     return InitialData(
         family=family,
-        amplitude_f=float(f_cfg.get("amplitude", 0.0)) if f_on else 0.0,
-        amplitude_g=float(g_cfg.get("amplitude", 0.0)) if g_on else 0.0,
+        amplitude_f=_number(cfg["f"], "amplitude", 0.0, "f.") if f_on else 0.0,
+        amplitude_g=_number(cfg["g"], "amplitude", 0.0, "g.") if g_on else 0.0,
         R=R,
     )
 
 
 def load_config(cfg: dict) -> tuple[ModelParams, InitialData, GridSpec]:
-    """Parse the JSON config schema into the three core types."""
+    """Parse the JSON config schema into the three core types.
+
+    Raises ValueError for a config that is not an object, a missing or
+    non-numeric parameter, a section that is not an object, or an unknown
+    family.
+    """
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config must be a JSON object, got {cfg!r}")
     missing = [key for key in ("p", "a", "b", "epsilon") if key not in cfg]
     if missing:
         raise ValueError(f"config lacks the keys {', '.join(missing)}")
     params = ModelParams(
-        p=float(cfg["p"]),
-        a=float(cfg["a"]),
-        b=float(cfg["b"]),
-        epsilon=float(cfg["epsilon"]),
-        R=float(cfg.get("R", 1.0)),
+        p=_number(cfg, "p"),
+        a=_number(cfg, "a"),
+        b=_number(cfg, "b"),
+        epsilon=_number(cfg, "epsilon"),
+        R=_number(cfg, "R", 1.0),
     )
     data = _data_from_config(cfg, params.R)
-    grid_cfg = cfg.get("grid", {})
+    grid_cfg = _section(cfg, "grid")
     grid = GridSpec(
-        h=float(grid_cfg.get("h", 0.05)),
-        t_max=float(grid_cfg.get("t_max", 50.0)),
-        pad=float(grid_cfg.get("pad", max(1.0, params.R))),
+        h=_number(grid_cfg, "h", 0.05, "grid."),
+        t_max=_number(grid_cfg, "t_max", 50.0, "grid."),
+        pad=_number(grid_cfg, "pad", max(1.0, params.R), "grid."),
     )
     return params, data, grid
 

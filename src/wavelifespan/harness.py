@@ -196,7 +196,8 @@ def verify_apriori(
     The three norms of every T come from one streamed pass over the levels
     up to the largest T (solver.apriori_profiles), which stores no field:
     memory is O(n_x + n_t).  The norm over [0, T] is the running max of the
-    per-level sups, read at the level of T.
+    per-level sups, read at the level of T.  Raises ValueError when the
+    norm of U is not finite, where a ratio would read 0.
     """
     T_ladder = sorted(T_ladder)
     if not T_ladder:
@@ -210,6 +211,11 @@ def verify_apriori(
     rows = []
     for T in T_ladder:
         norm_U, norm_LU, norm_LB = (float(v) for v in norms[:, grid.index_of_t(T)])
+        if not math.isfinite(norm_U):
+            raise ValueError(
+                f"the weighted norm of the test field is not finite at T={T:g}: the weight w "
+                "is singular where U != 0 (for a = 0, w = 1/log(t+|x|+R) needs R > 1)"
+            )
         E = theory.E_ab(T, params.p, params.a, params.b, params.R)
         D = theory.D_a(T, params.a, params.R)
         ratio_E = norm_LU / (E * norm_U**params.p) if norm_U > 0 else 0.0

@@ -6,11 +6,13 @@ values.  Running prefix sums along both characteristic families
 (kernels.CharAccumulator) make each node update O(1) amortized; the same
 accumulator serves march, apply_duhamel_field and the streamed a-priori
 norms of apriori_profiles, which walks the levels in blocks of BLOCK and
-steps the accumulators per level only.  Seeded with the halves of the free
-data that travel along each family, the two sums through a node add up to
-eps*u_t0 plus the trapezoid over the levels below it.  The s = t endpoint
-couples the node to itself; one vectorised Newton iteration per level
-resolves it after a closed-form fold test has ruled out blow-up.
+steps the accumulators per level only; on the free test field it weighs
+only the columns of a block where the free data lives.  Seeded with the
+halves of the free data that travel along each family, the two sums
+through a node add up to eps*u_t0 plus the trapezoid over the levels below
+it.  The s = t endpoint couples the node to itself; one vectorised Newton
+iteration per level resolves it after a closed-form fold test has ruled
+out blow-up.
 """
 
 from __future__ import annotations
@@ -243,6 +245,11 @@ def apriori_profiles(
     are taken over the block's widest active slice at once, and only the
     accumulator steps run per level, each on its own level's slice.  The
     fields vanish outside a level's cone, so the extra nodes add nothing.
+    With the free test field every source carries a factor |B|, so the
+    nonlinear weight is evaluated only on the block's columns where B is
+    nonzero (the two d'Alembert bands |x -+ t| < R) and left 0 elsewhere,
+    which changes no source; picard_U2 weighs every node, since its L'U
+    source is dense.
     """
     if test_field not in ("free", "picard_U2"):
         raise ValueError(f"unknown test field {test_field!r}")
@@ -258,12 +265,16 @@ def apriori_profiles(
         LO, HI = slices[-1]  # cones only widen, so the last level's slice holds the others
         xa = x[LO : HI + 1]
         t = h * np.arange(n0, n1)[:, None]
-        W = nonlinear_weight(xa, t, params)
         w = weight_w(xa, t, params)
         B = free.values(n0, n1, LO, HI)
         if test_field == "free":
+            # every source carries |B|, so W = 0 off B's columns changes no source
             U = B
+            cols = np.any(B != 0.0, axis=0)
+            W = np.zeros_like(B)
+            W[:, cols] = nonlinear_weight(xa[cols], t, params)
         else:
+            W = nonlinear_weight(xa, t, params)  # L'U is dense: so is its source
             U = _explicit_block(acc_U, n0, slices, np.abs(B) ** p * W)
         nonzero = nonzero or bool(np.any(U != 0.0))
         LU = _explicit_block(acc_LU, n0, slices, np.abs(U) ** p * W)

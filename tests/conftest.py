@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from wavelifespan.core import Family, GridSpec, InitialData, ModelParams
+
+# every run draws the same examples, so a property failure reproduces as it stands
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

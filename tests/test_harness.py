@@ -221,12 +221,24 @@ class TestVerifyApriori:
         rows = verify_apriori(params, bump_data, 0.1, [5.0], test_field="picard_U2")
         assert rows[0][1] > 0
 
+    def test_singular_weight_on_the_test_field_is_rejected(self, bump_data):
+        # a = 0 and R = 1: w = 1/log(t+|x|+R) is infinite at t = x = 0, where B != 0
+        params = ModelParams(2.0, 0.0, 0.0, 0.01, 1.0)
+        with pytest.raises(ValueError, match="weight w is singular"):
+            verify_apriori(params, bump_data, 0.1, [5.0, 10.0])
+        # U = L'(|B|^p) vanishes at that node, so the Picard field stays valid
+        rows = verify_apriori(params, bump_data, 0.1, [5.0, 10.0], test_field="picard_U2")
+        assert all(math.isfinite(r) and r > 0 for _, rE, rD in rows for r in (rE, rD))
+
     def test_validation(self, bump_data):
         params = ModelParams(2.0, 0.5, 0.0, 0.01, 1.0)
         with pytest.raises(ValueError):
             verify_apriori(params, bump_data, 0.1, [])
         with pytest.raises(ValueError):
             verify_apriori(params, bump_data, 0.1, [5.0], test_field="mystery")
+
+
+VALID_CONFIG = {"p": 2, "a": 0.0, "b": 0.0, "epsilon": 0.1}
 
 
 class TestCli:
@@ -320,6 +332,35 @@ class TestCli:
         cfg.write_text(json.dumps({"a": 0.0, "b": 0.0, "epsilon": 0.1}))
         assert run_cli(["solve", "--config", str(cfg)]) == 1
         assert "lacks the keys p" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            (5, "config must be a JSON object"),
+            (dict(VALID_CONFIG, grid=3), "config grid must be a JSON object"),
+            (dict(VALID_CONFIG, f="bump"), "config f must be a JSON object"),
+            (dict(VALID_CONFIG, p=None), "config p must be a number"),
+            (dict(VALID_CONFIG, p=[2]), "config p must be a number"),
+            (dict(VALID_CONFIG, p=True), "config p must be a number"),
+            (dict(VALID_CONFIG, g={"family": "bunp", "amplitude": 1.0}), "config g.family must be"),
+            (dict(VALID_CONFIG, g={"family": "bump", "amplitude": "1"}), "config g.amplitude must be"),
+            (dict(VALID_CONFIG, grid={"h": "0.1"}), "config grid.h must be a number"),
+        ],
+    )
+    def test_malformed_config_exits_1(self, cfg, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("wavelifespan.harness.march", self.no_march)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["solve", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_singular_apriori_weight_exits_1(self, capsys):
+        argv = ["verify-apriori", "--p", "2", "--a", "0", "--b", "0", "--eps", "0.01", "--R", "1",
+                "--h", "0.1", "--T", "5", "10"]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "weight w is singular" in captured.err
 
     def test_missing_config_file_exits_1(self, tmp_path, monkeypatch):
         monkeypatch.setattr("wavelifespan.harness.march", self.no_march)

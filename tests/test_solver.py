@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wavelifespan
-from wavelifespan.core import Family, GridSpec, InitialData, ModelParams, Status
+from wavelifespan.core import Family, GridSpec, InitialData, ModelParams, RegimeKind, Status
 from wavelifespan.kernels import (
     CharAccumulator,
     duhamel_Lprime,
@@ -26,6 +28,27 @@ from wavelifespan.solver import (
     reconstruct_u,
     weighted_sup_norm,
 )
+from wavelifespan.theory import classify_regime
+
+
+@st.composite
+def exponents_in(draw, kind):
+    """(p, a, b) drawn inside one lifespan regime of the classifier."""
+    p = draw(st.floats(1.5, 3.0))
+    if kind is RegimeKind.global_:
+        a = draw(st.floats(0.1, 1.5))
+        b = draw(st.floats(-p * (1.0 + a) + 0.1, 1.0))
+    elif kind is RegimeKind.exp_p_minus_1:
+        a, b = 0.0, draw(st.floats(-p, 1.0))
+    elif kind is RegimeKind.exp_p_p_minus_1:
+        a = draw(st.floats(0.1, 1.5))
+        b = -p * (1.0 + a)  # p(1+a) + b == 0 exactly
+    elif kind is RegimeKind.poly_a:
+        a, b = draw(st.floats(-1.5, -0.1)), draw(st.floats(-p, 1.0))
+    else:
+        a = draw(st.floats(-1.5, 1.5))
+        b = min(-p, -p * (1.0 + a)) - draw(st.floats(0.1, 2.0))
+    return p, a, b
 
 
 class TestSolveLevel:
@@ -243,6 +266,34 @@ class TestMarchBasics:
                 F, x, t, params, grid.h
             )
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+    @pytest.mark.parametrize("kind", list(RegimeKind))
+    @settings(max_examples=10, deadline=None)
+    @given(draw=st.data())
+    def test_discrete_integral_equation_holds_in_every_regime(self, kind, draw):
+        # test_discrete_integral_equation_holds at drawn (p, a, b, eps), data
+        # and nodes; a march that blows up is checked on its resolved levels
+        p, a, b = draw.draw(exponents_in(kind))
+        assert classify_regime(p, a, b).kind is kind
+        eps = draw.draw(st.floats(0.01, 2.0))
+        family = draw.draw(st.sampled_from([Family.bump, Family.bump_pair]))
+        params = ModelParams(p, a, b, eps, 1.0)
+        data = InitialData(family, 0.7, 1.0, 1.0)
+        grid = GridSpec(h=0.1, t_max=3.0, pad=4.0)  # pad >= t_max + R: characteristics stay on the lattice
+        field, _ = march(params, data, grid)
+        sampler = field_sampler(field)
+        x_nodes = grid.x_nodes()
+
+        def F(y, s):
+            return np.abs(sampler(y, s)) ** p
+
+        for _ in range(4):
+            n = draw.draw(st.integers(0, field.levels.shape[0] - 1))
+            i = draw.draw(st.integers(*grid.active_slice(n, params.R)))
+            x, t = x_nodes[i], n * grid.h
+            lhs = field.levels[n, i]
+            rhs = free_solution_dt(x, t, data, eps) + duhamel_Lprime(F, x, t, params, grid.h)
+            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
     def test_epsilon_p_scaling_of_duhamel_part(self, bump_data):
         # || U - eps u_t0 || ~ eps^p for small eps
