@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -85,45 +85,39 @@ class InitialData:
         poly = u - u**3 + 0.6 * u**5 - u**7 / 7.0
         return amplitude * self.R * poly
 
+    @property
+    def _amp_f(self) -> float:
+        return self.amplitude_f if self.family is Family.bump_pair else 0.0
+
+    @property
+    def _amp_g(self) -> float:
+        return 0.0 if self.family is Family.zero else self.amplitude_g
+
     def f(self, x):
-        if self.family is Family.bump_pair:
-            return self._bump(x, self.amplitude_f)
-        return np.zeros_like(np.asarray(x, dtype=float))
+        return self._bump(x, self._amp_f)
 
     def f_prime(self, x):
-        if self.family is Family.bump_pair:
-            return self._bump_prime(x, self.amplitude_f)
-        return np.zeros_like(np.asarray(x, dtype=float))
+        return self._bump_prime(x, self._amp_f)
 
     def g(self, x):
-        if self.family in (Family.bump, Family.bump_pair):
-            return self._bump(x, self.amplitude_g)
-        return np.zeros_like(np.asarray(x, dtype=float))
+        return self._bump(x, self._amp_g)
 
     def g_prime(self, x):
-        if self.family in (Family.bump, Family.bump_pair):
-            return self._bump_prime(x, self.amplitude_g)
-        return np.zeros_like(np.asarray(x, dtype=float))
+        return self._bump_prime(x, self._amp_g)
 
     def g_antiderivative(self, x):
         """Antiderivative G of g with G(0) = 0, exact for the bump polynomial."""
-        if self.family in (Family.bump, Family.bump_pair):
-            return self._bump_antiderivative(x, self.amplitude_g)
-        return np.zeros_like(np.asarray(x, dtype=float))
+        return self._bump_antiderivative(x, self._amp_g)
 
     def g_total_integral(self) -> float:
         return float(self.g_antiderivative(self.R) - self.g_antiderivative(-self.R))
 
     def sup_f_prime(self) -> float:
-        if self.family is Family.bump_pair:
-            xs = np.linspace(-self.R, self.R, 4001)
-            return float(np.max(np.abs(self.f_prime(xs))))
-        return 0.0
+        xs = np.linspace(-self.R, self.R, 4001)
+        return float(np.max(np.abs(self.f_prime(xs))))
 
     def sup_g(self) -> float:
-        if self.family in (Family.bump, Family.bump_pair):
-            return abs(self.amplitude_g)
-        return 0.0
+        return abs(self._amp_g)
 
 
 @dataclass(frozen=True)
@@ -149,9 +143,6 @@ class GridSpec:
 
     def x_nodes(self) -> np.ndarray:
         return self.x_min + self.h * np.arange(self.n_x)
-
-    def t_levels(self) -> np.ndarray:
-        return self.h * np.arange(self.n_t + 1)
 
     def active_slice(self, n: int, R: float) -> tuple[int, int]:
         """Index range [lo, hi] of nodes with |x_i| <= t_n + R."""
@@ -187,15 +178,6 @@ class CharField:
     levels: Optional[np.ndarray]
     n_levels_done: int = 0
 
-    def value(self, x: float, t: float) -> float:
-        if self.levels is None:
-            raise ValueError("field values were not stored for this run")
-        n = self.grid.index_of_t(t)
-        i = self.grid.index_of_x(x)
-        if n >= self.levels.shape[0]:
-            raise KeyError(f"level t={t} not computed")
-        return float(self.levels[n, i])
-
 
 @dataclass
 class LifespanEstimate:
@@ -221,7 +203,6 @@ class LifespanEstimate:
 class Regime:
     kind: RegimeKind
     exponent: Optional[float]
-    formula: str
 
 
 def validate(params: ModelParams, data: InitialData, grid: Optional[GridSpec] = None) -> list[str]:

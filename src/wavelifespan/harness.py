@@ -31,6 +31,7 @@ from .kernels import free_solution_dt  # noqa: F401
 from .solver import apply_duhamel_field, apriori_profiles, dump_field_csv, march  # noqa: F401
 
 RESOLVE_TOL = 0.05
+EXP_REACH = 1e4  # in units of R: longer exponential-regime lifespans are not marched
 
 
 @dataclass
@@ -50,7 +51,6 @@ class SweepEntry:
 
 @dataclass
 class SweepResult:
-    params: ModelParams  # epsilon field is ignored; per-entry epsilons govern
     entries: list
 
     def blowup_pairs(self, use_fine: bool = True) -> list[tuple[float, float]]:
@@ -92,8 +92,8 @@ def make_epsilon_ladder(
     p: float, a: float, b: float, T_lo: float, T_hi: float, n: int = 8, c: float = 1.0
 ) -> list[float]:
     """Geometric epsilon ladder whose predicted lifespans span [T_lo, T_hi]."""
-    if n < 1 or not (0 < T_lo < T_hi):
-        raise ValueError("need n >= 1 and 0 < T_lo < T_hi")
+    if n < 1 or not (0 < T_lo < T_hi < math.inf):
+        raise ValueError("need n >= 1 and 0 < T_lo < T_hi < inf")
     eps_hi = theory.invert_lifespan_bound(p, a, b, T_lo, c)
     eps_lo = theory.invert_lifespan_bound(p, a, b, T_hi, c)
     ratio = (eps_hi / eps_lo) ** (1.0 / (n - 1)) if n > 1 else 1.0
@@ -105,10 +105,14 @@ def sweep(
     data: InitialData,
     grid: GridSpec,
     ladder: Sequence[float],
-    exp_reach_cap: Optional[float] = None,
     threads: int = 1,
 ) -> SweepResult:
-    """Run march at h and h/2 for each epsilon; entries sorted ascending."""
+    """Run march at h and h/2 for each epsilon; entries sorted ascending.
+
+    params.epsilon is ignored.  A rung whose march raises, or an
+    exponential-regime rung predicted past EXP_REACH * R, becomes an error
+    entry (out_of_numerical_reach for the latter).
+    """
     if len(ladder) == 0:
         raise ValueError("empty epsilon ladder")
     require_valid(replace(params, epsilon=0.0), data, grid)  # per-rung epsilons govern
@@ -120,8 +124,6 @@ def sweep(
         )
     if data.family is not Family.bump or data.amplitude_g <= 0:
         raise ValueError("blow-up sweeps require f = 0 and a positive bump g")
-    if exp_reach_cap is None:
-        exp_reach_cap = 1e4 * params.R
 
     ladder = sorted(float(e) for e in ladder)
 
@@ -129,7 +131,7 @@ def sweep(
         pe = ModelParams(params.p, params.a, params.b, eps, params.R)
         predicted = theory.lifespan_bound(params.p, params.a, params.b, eps, 1.0)
         if regime.kind in (RegimeKind.exp_p_minus_1, RegimeKind.exp_p_p_minus_1):
-            if predicted > exp_reach_cap:
+            if predicted > EXP_REACH * params.R:
                 return SweepEntry(eps, None, None, False, error="out_of_numerical_reach")
         try:
             _, est_h = march(pe, data, grid, keep_field=False)
@@ -147,7 +149,7 @@ def sweep(
             entries = list(pool.map(run_one, ladder))
     else:
         entries = [run_one(e) for e in ladder]
-    return SweepResult(params=params, entries=entries)
+    return SweepResult(entries=entries)
 
 
 def fit_exponent(
@@ -197,7 +199,8 @@ def verify_apriori(
     up to the largest T (solver.apriori_profiles), which stores no field:
     memory is O(n_x + n_t).  The norm over [0, T] is the running max of the
     per-level sups, read at the level of T.  Raises ValueError when the
-    norm of U is not finite, where a ratio would read 0.
+    norm of U is not finite or is 0 on [0, T], where a ratio would be
+    undefined.
     """
     T_ladder = sorted(T_ladder)
     if not T_ladder:
@@ -216,10 +219,12 @@ def verify_apriori(
                 f"the weighted norm of the test field is not finite at T={T:g}: the weight w "
                 "is singular where U != 0 (for a = 0, w = 1/log(t+|x|+R) needs R > 1)"
             )
+        if norm_U == 0:
+            raise ValueError(f"the test field is 0 on [0, T] for T={T:g}: its ratios are undefined")
         E = theory.E_ab(T, params.p, params.a, params.b, params.R)
         D = theory.D_a(T, params.a, params.R)
-        ratio_E = norm_LU / (E * norm_U**params.p) if norm_U > 0 else 0.0
-        ratio_D = norm_LB / (D * norm_U) if norm_U > 0 else 0.0
+        ratio_E = norm_LU / (E * norm_U**params.p)
+        ratio_D = norm_LB / (D * norm_U)
         rows.append((T, ratio_E, ratio_D))
     return rows
 
@@ -346,6 +351,8 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         if args.command == "blowup-seq":
+            if args.eps < 0:
+                raise ValueError("epsilon must be >= 0")
             M1 = args.M1 if args.M1 is not None else args.eps**args.p
             states = theory.blowup_sequence(args.p, args.n, M1, a=args.a, b=args.b)
             for s in states:

@@ -15,7 +15,6 @@ LeapfrogResult.level rebuilds a whole row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -74,14 +73,14 @@ def leapfrog_solve(
     dx: float,
     cfl: float = 0.9,
     t_max: float = 10.0,
-    blow_threshold: Optional[float] = None,
 ) -> tuple[LeapfrogResult, LifespanEstimate]:
     """Three-level explicit scheme for the weighted wave equation.
 
     f and g vanish outside |x| <= data.R, so level 1 is nonzero only on that
     support widened by one node, and each later level by one node more.
     Levels are updated and stored on that reach, clamped to the interior
-    of the Dirichlet domain; u is exactly 0 elsewhere.
+    of the Dirichlet domain; u is exactly 0 elsewhere.  A level blows up
+    when it is not finite or sup |u_t| exceeds default_blow_threshold.
     """
     require_valid(params, data)
     if not (0 < cfl <= 1):
@@ -90,8 +89,7 @@ def leapfrog_solve(
         raise ValueError("dx must be positive and finite")
     if not (0 < t_max < np.inf):
         raise ValueError("t_max must be positive and finite")
-    if blow_threshold is None:
-        blow_threshold = default_blow_threshold(params, data)
+    blow_threshold = default_blow_threshold(params, data)
 
     eps, p = params.epsilon, params.p
     L = t_max + params.R + 1.0

@@ -41,6 +41,10 @@ from .kernels import CharAccumulator, free_solution_dt, nonlinear_weight, weight
 # of the block's numpy expressions, few enough to keep each block small
 BLOCK = 32
 
+# Newton's per-node residual tolerance and step budget in march
+INNER_TOL = 1e-12
+INNER_MAX = 50
+
 
 def default_blow_threshold(params: ModelParams, data: InitialData) -> float:
     sup_free = params.epsilon * (data.sup_f_prime() + data.sup_g())
@@ -96,17 +100,17 @@ def march(
     data: InitialData,
     grid: GridSpec,
     blow_threshold: Optional[float] = None,
-    inner_tol: float = 1e-12,
-    inner_max: int = 50,
     keep_field: bool = True,
     track_weighted_sup: bool = False,
 ) -> tuple[CharField, LifespanEstimate]:
-    """March the integral equation level by level until blow-up or t_max."""
+    """March the integral equation level by level until blow-up or t_max.
+
+    Newton solves each level to INNER_TOL within INNER_MAX steps; |U| past
+    blow_threshold (default_blow_threshold by default) is blow-up.
+    """
     require_valid(params, data, grid)
     if blow_threshold is None:
         blow_threshold = default_blow_threshold(params, data)
-    if inner_tol <= 0:
-        raise ValueError("inner_tol must be positive")
 
     h, p, R = grid.h, params.p, params.R
     x = grid.x_nodes()
@@ -137,7 +141,7 @@ def march(
             xa = x[lo : hi + 1]
             gamma = acc.c * nonlinear_weight(xa, t, params)
             plus, minus = acc.diagonals(n, lo, hi)
-            z, flag = _solve_level(plus + minus, gamma, p, inner_tol, inner_max, blow_threshold)
+            z, flag = _solve_level(plus + minus, gamma, p, INNER_TOL, INNER_MAX, blow_threshold)
             sup_history.append(float(np.max(np.abs(z))))
             if flag != "ok":
                 T_blow = t - 0.5 * h
@@ -196,20 +200,19 @@ def field_weighted_sup(U: np.ndarray, grid: GridSpec, params: ModelParams) -> fl
     return best
 
 
-def apply_duhamel_field(
-    source: np.ndarray, grid: GridSpec, params: ModelParams, R: float
-) -> np.ndarray:
+def apply_duhamel_field(source: np.ndarray, grid: GridSpec, params: ModelParams) -> np.ndarray:
     """L' applied to a lattice source field (|v|^p already taken by caller).
 
-    source[n, i] is the full integrand numerator v(x_i, t_n); the weight is
-    applied here.  Explicit trapezoid: no endpoint implicitness.
+    source[n, i] is the full integrand numerator v(x_i, t_n) on levels
+    0..len(source)-1 of grid; the weight is applied here.  Explicit
+    trapezoid: no endpoint implicitness.
     """
     n_levels, n_x = source.shape
     x = grid.x_nodes()
     acc = CharAccumulator(n_x, n_levels - 1, grid.h)
     out = np.zeros_like(source)
     for n in range(n_levels):
-        lo, hi = grid.active_slice(n, R)
+        lo, hi = grid.active_slice(n, params.R)
         G = source[n, lo : hi + 1] * nonlinear_weight(x[lo : hi + 1], n * grid.h, params)
         out[n, lo : hi + 1] = acc.explicit_step(n, lo, hi, G)
     return out
@@ -238,8 +241,7 @@ def apriori_profiles(
     sup |w L'(|B|^{p-1} |U|)| over the active cone of each level 0..n_t,
     where B = eps*u_t0 is the band free field and the test field U is B
     ("free") or L'(|B|^p) ("picard_U2").  Each L' advances level by level
-    through its own CharAccumulator, so memory is O(n_x + n_t).  Raises
-    ValueError when U vanishes on every level.
+    through its own CharAccumulator, so memory is O(n_x + n_t).
 
     The levels go in blocks of BLOCK: weights, free data, sources and sups
     are taken over the block's widest active slice at once, and only the
@@ -258,7 +260,6 @@ def apriori_profiles(
     free = CharAccumulator.seeded(data, grid, params.epsilon)
     acc_U, acc_LU, acc_LB = (CharAccumulator(grid.n_x, grid.n_t, h) for _ in range(3))
     out = np.empty((3, grid.n_t + 1))
-    nonzero = False
     for n0 in range(0, grid.n_t + 1, BLOCK):
         n1 = min(n0 + BLOCK, grid.n_t + 1)
         slices = [grid.active_slice(n, R) for n in range(n0, n1)]
@@ -276,12 +277,9 @@ def apriori_profiles(
         else:
             W = nonlinear_weight(xa, t, params)  # L'U is dense: so is its source
             U = _explicit_block(acc_U, n0, slices, np.abs(B) ** p * W)
-        nonzero = nonzero or bool(np.any(U != 0.0))
         LU = _explicit_block(acc_LU, n0, slices, np.abs(U) ** p * W)
         LB = _explicit_block(acc_LB, n0, slices, np.abs(B) ** (p - 1) * np.abs(U) * W)
         out[:, n0:n1] = [_masked_weighted_sup(V, w) for V in (U, LU, LB)]
-    if not nonzero:
-        raise ValueError("zero-norm test field")
     return out
 
 
@@ -292,7 +290,6 @@ class PicardReport:
     norms: list = field(default_factory=list)  # ||U_j|| for j = 1..j_max
     diff_norms: list = field(default_factory=list)  # ||U_{j+1} - U_j|| for j = 1..j_max-1
     final: Optional[np.ndarray] = None
-    grid: Optional[GridSpec] = None
     diverged_at: Optional[int] = None
 
     def contraction_ratios(self) -> list[float]:
@@ -317,10 +314,8 @@ def picard_iterate(
     n_T = grid.index_of_t(T)
     if n_T > grid.n_t:
         raise ValueError("T exceeds the grid horizon")
-    h = grid.h
     free = CharAccumulator.seeded(data, grid, params.epsilon).values(0, n_T + 1, 0, grid.n_x - 1)
-    sub = GridSpec(h=h, t_max=n_T * h, pad=grid.pad + (grid.t_max - n_T * h))
-    report = PicardReport(grid=sub)
+    report = PicardReport()
     U = np.zeros_like(free)  # U_1 = 0
     report.norms.append(0.0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -329,13 +324,13 @@ def picard_iterate(
             if not np.all(np.isfinite(source)):
                 report.diverged_at = j
                 break
-            U_next = apply_duhamel_field(source, sub, params, params.R)
+            U_next = apply_duhamel_field(source, grid, params)
             if not np.all(np.isfinite(U_next)):
                 report.diverged_at = j + 1
                 break
-            report.diff_norms.append(field_weighted_sup(U_next - U, sub, params))
+            report.diff_norms.append(field_weighted_sup(U_next - U, grid, params))
             U = U_next
-            report.norms.append(field_weighted_sup(U, sub, params))
+            report.norms.append(field_weighted_sup(U, grid, params))
     report.final = U
     return report
 

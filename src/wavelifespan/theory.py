@@ -23,24 +23,22 @@ def classify_regime(p: Number, a: Number, b: Number) -> Regime:
         raise ValueError("p must exceed 1")
     s = p * (1 + a) + b
     if a > 0 and s > 0:
-        return Regime(RegimeKind.global_, None, "T(eps) = infinity")
+        return Regime(RegimeKind.global_, None)
     if a == 0 and b >= -p:
-        return Regime(RegimeKind.exp_p_minus_1, None, "exp(c eps^-(p-1))")
+        return Regime(RegimeKind.exp_p_minus_1, None)
     if a > 0 and s == 0:
-        return Regime(RegimeKind.exp_p_p_minus_1, None, "exp(c eps^-p(p-1))")
+        return Regime(RegimeKind.exp_p_p_minus_1, None)
     if a < 0 and b >= -p:
-        return Regime(RegimeKind.poly_a, float((p - 1) / (-a)), "c eps^-(p-1)/(-a)")
+        return Regime(RegimeKind.poly_a, float((p - 1) / (-a)))
     if s < 0 and b < -p:
-        return Regime(
-            RegimeKind.poly_pab, float(p * (p - 1) / (-s)), "c eps^-p(p-1)/(-p(1+a)-b)"
-        )
+        return Regime(RegimeKind.poly_pab, float(p * (p - 1) / (-s)))
     raise ValueError(f"no lifespan case for p={p}, a={a}, b={b}")
 
 
 def lifespan_bound(p: float, a: float, b: float, epsilon: float, c: float) -> float:
     """Evaluate the regime's lifespan formula with constant c (inf if global)."""
-    if not (p > 1 and epsilon > 0 and c > 0):
-        raise ValueError("need p > 1, epsilon > 0, c > 0")
+    if not (p > 1 and 0 < epsilon < math.inf and 0 < c < math.inf):
+        raise ValueError("need p > 1 and finite epsilon > 0, c > 0")
     regime = classify_regime(p, a, b)
     kind = regime.kind
     if kind is RegimeKind.global_:
@@ -128,12 +126,8 @@ def C2_constant(p: float, a: float, b: float) -> float:
 class BlowupSequenceState:
     n: int
     a_n: Fraction
-    M_n: float
     log_M_n: float
-    C0: float
     C1: float
-    Cg: float
-    S_p2: float
 
 
 def blowup_sequence(
@@ -142,29 +136,21 @@ def blowup_sequence(
     M1: float,
     a: float = 0.0,
     b: float = 0.0,
-    C1: Optional[float] = None,
-    Cg: float = math.nan,
 ) -> list[BlowupSequenceState]:
     """a_{n+1} = p^2 a_n + p + 1 exactly; M_{n+1} = C1 p^{-2pn} M_n^{p^2} in
     the log domain (M_n collapses doubly exponentially)."""
+    if not all(math.isfinite(v) for v in (p, M1, a, b)):
+        raise ValueError(f"p, M1, a and b must be finite, got p={p}, M1={M1}, a={a}, b={b}")
     if not (p > 1 and n_max >= 1 and M1 > 0):
         raise ValueError("need p > 1, n_max >= 1, M1 > 0")
-    C0 = C0_constant(a, b)
-    if C1 is None:
-        C1 = C1_constant(float(p), a, b)
-    S = S_p2(float(p))
+    C1 = C1_constant(float(p), a, b)
     pf = Fraction(p)
     p2 = float(p) ** 2
     states = []
     a_n = Fraction(0)
     log_M = math.log(M1)
     for n in range(1, n_max + 1):
-        M_n = math.exp(log_M) if log_M > -745 else 0.0
-        states.append(
-            BlowupSequenceState(
-                n=n, a_n=a_n, M_n=M_n, log_M_n=log_M, C0=C0, C1=C1, Cg=Cg, S_p2=S
-            )
-        )
+        states.append(BlowupSequenceState(n=n, a_n=a_n, log_M_n=log_M, C1=C1))
         a_n = pf**2 * a_n + pf + 1
         log_M = math.log(C1) - 2.0 * float(p) * n * math.log(float(p)) + p2 * log_M
     return states

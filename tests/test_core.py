@@ -75,7 +75,6 @@ class TestGridSpec:
         assert xs[0] == pytest.approx(-3.0)
         assert xs[-1] == pytest.approx(3.0)
         assert np.allclose(xs + xs[::-1], 0.0, atol=1e-12)
-        assert g.t_levels()[-1] == pytest.approx(2.0)
 
     def test_index_roundtrip(self):
         g = GridSpec(h=0.05, t_max=4.0, pad=1.5)

@@ -115,18 +115,19 @@ class TestSweep:
     def test_exponential_reach_cap(self, bump_data):
         params = ModelParams(2.0, 0.0, 0.0, 0.0, 1.0)
         grid = GridSpec(h=0.1, t_max=5.0, pad=1.0)
-        result = sweep(params, bump_data, grid, [0.05], exp_reach_cap=100.0)
+        # lifespan_bound predicts e^20 for eps = 0.05, past 1e4 * R
+        result = sweep(params, bump_data, grid, [0.05])
         assert result.entries[0].error == "out_of_numerical_reach"
         assert not result.entries[0].blew_up()
 
 
 def stored_fields(params, data, grid, test_field):
     """The test field U, L'(|U|^p) and L'(|B|^{p-1}|U|) as whole stored fields."""
-    p, R = params.p, params.R
+    p = params.p
     band = CharAccumulator.seeded(data, grid, params.epsilon).values(0, grid.n_t + 1, 0, grid.n_x - 1)
-    U = band if test_field == "free" else apply_duhamel_field(np.abs(band) ** p, grid, params, R)
-    LU = apply_duhamel_field(np.abs(U) ** p, grid, params, R)
-    LB = apply_duhamel_field(np.abs(band) ** (p - 1) * np.abs(U), grid, params, R)
+    U = band if test_field == "free" else apply_duhamel_field(np.abs(band) ** p, grid, params)
+    LU = apply_duhamel_field(np.abs(U) ** p, grid, params)
+    LB = apply_duhamel_field(np.abs(band) ** (p - 1) * np.abs(U), grid, params)
     return U, LU, LB
 
 
@@ -203,8 +204,14 @@ class TestVerifyApriori:
     def test_zero_data_is_rejected(self, test_field):
         params = ModelParams(2.0, 0.5, 0.0, 0.01, 1.0)
         data = InitialData(Family.zero, 0.0, 0.0, 1.0)
-        with pytest.raises(ValueError, match="zero-norm test field"):
+        with pytest.raises(ValueError, match="test field is 0 on"):
             verify_apriori(params, data, 0.1, [5.0], test_field)
+
+    def test_zero_norm_at_one_T_is_rejected_naming_it(self, bump_data):
+        # U = L'(|B|^p) vanishes on level 0, so its norm over [0, 0] is 0
+        params = ModelParams(2.0, -0.5, 0.0, 0.01, 1.0)
+        with pytest.raises(ValueError, match="T=0:"):
+            verify_apriori(params, bump_data, 0.1, [0.0, 5.0], test_field="picard_U2")
 
     def test_rows_and_csv(self, bump_data):
         params = ModelParams(2.0, 0.5, 0.0, 0.01, 1.0)
@@ -316,11 +323,28 @@ class TestCli:
             ["sweep", "--a", "-0.5", "--h", "nan"],
             ["classify", "--a", "nan"],
             ["verify-apriori", "--eps", "nan"],
+            ["blowup-seq", "--M1", "inf"],
+            ["blowup-seq", "--a", "nan"],
+            ["bounds", "--eps", "inf"],
+            ["sweep", "--t-hi", "inf"],
         ],
     )
     def test_non_finite_input_exits_1_before_marching(self, argv, monkeypatch):
         monkeypatch.setattr("wavelifespan.harness.march", self.no_march)
         assert run_cli(argv) == 1
+
+    def test_negative_blowup_seq_epsilon_exits_1(self, capsys):
+        # eps^p is complex for eps < 0 and p = 2.5
+        assert run_cli(["blowup-seq", "--eps", "-0.1", "--p", "2.5"]) == 1
+        assert "epsilon must be >= 0" in capsys.readouterr().err
+
+    def test_zero_norm_apriori_T_exits_1(self, capsys):
+        argv = ["verify-apriori", "--a", "-0.5", "--eps", "0.01", "--h", "0.1", "--T", "0", "5",
+                "--field", "picard_U2"]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "T=0:" in captured.err
 
     def test_non_finite_phase_diagram_range_exits_1(self, capsys):
         assert run_cli(["phase-diagram", "--a-min", "inf"]) == 1

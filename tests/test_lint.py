@@ -1,0 +1,81 @@
+"""Static checks on the package source, made with the stdlib ast module.
+
+An import the module never reads fails unless its statement carries
+`# noqa: F401`; a module-level private function or class that nothing in
+its module references fails.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import wavelifespan
+
+MODULES = sorted(Path(wavelifespan.__file__).parent.glob("*.py"))
+
+
+def names_read(tree: ast.Module) -> set:
+    """Bare names the module reads, plus the names it lists in __all__."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = names_read(tree)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        out += [f"line {node.lineno}: {name}" for name in bound if name not in read]
+    return out
+
+
+def unreferenced_private_defs(source: str) -> list:
+    tree = ast.parse(source)
+    read = names_read(tree)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        f"line {node.lineno}: {node.name}"
+        for node in tree.body
+        if isinstance(node, defs)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in read
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_definition_is_referenced(path):
+    assert unreferenced_private_defs(path.read_text()) == []
+
+
+def test_checks_flag_what_they_should():
+    source = (
+        "from typing import Optional, Sequence\n"
+        "import numpy as np  # noqa: F401\n"
+        "import os.path\n"
+        "def _dead(): pass\n"
+        "def _live(x: Optional[int]): return os.path\n"
+        "_live(None)\n"
+    )
+    assert unused_imports(source) == ["line 1: Sequence"]
+    assert unreferenced_private_defs(source) == ["line 4: _dead"]
