@@ -193,27 +193,32 @@ def verify_apriori(
     ratio_E = ||L'(|U|^p)|| / (E(T) ||U||^p) for the chosen test field U;
     ratio_D = ||L'(|U0|^{p-1} |U|)|| / (D_a(T) ||U||) with U0 the
     characteristic-band free field.  Both should stay bounded (near
-    constant) as T grows.
+    constant) as T grows.  On the free test field U = U0, so both
+    numerators are the one field L'(|U0|^p), and the pass takes it once.
 
     The three norms of every T come from one streamed pass over the levels
     up to the largest T (solver.apriori_profiles), which stores no field:
     memory is O(n_x + n_t).  The norm over [0, T] is the running max of the
     per-level sups, read at the level of T.  Raises ValueError when the
     norm of U is not finite or is 0 on [0, T], where a ratio would be
-    undefined.
+    undefined.  Every T must be finite, >= 0 and a lattice level of h; the
+    ladder is checked before the pass.
     """
     T_ladder = sorted(T_ladder)
     if not T_ladder:
         raise ValueError("empty T ladder")
-    T_max = T_ladder[-1]
-    grid = GridSpec(h=h, t_max=T_max, pad=max(1.0, params.R))
+    for T in T_ladder:
+        if not 0 <= T < math.inf:
+            raise ValueError(f"every T must be finite and >= 0, got T={T:g}")
+    grid = GridSpec(h=h, t_max=T_ladder[-1], pad=max(1.0, params.R))
     require_valid(params, data, grid)
+    levels = [grid.index_of_t(T) for T in T_ladder]  # raises for a T off the lattice
     # fmax skips a NaN sup, so one NaN level leaves the norms of later T defined
     norms = np.fmax.accumulate(apriori_profiles(params, data, grid, test_field), axis=1)
 
     rows = []
-    for T in T_ladder:
-        norm_U, norm_LU, norm_LB = (float(v) for v in norms[:, grid.index_of_t(T)])
+    for T, n_T in zip(T_ladder, levels):
+        norm_U, norm_LU, norm_LB = (float(v) for v in norms[:, n_T])
         if not math.isfinite(norm_U):
             raise ValueError(
                 f"the weighted norm of the test field is not finite at T={T:g}: the weight w "

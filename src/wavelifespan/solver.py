@@ -241,14 +241,16 @@ def apriori_profiles(
     sup |w L'(|B|^{p-1} |U|)| over the active cone of each level 0..n_t,
     where B = eps*u_t0 is the band free field and the test field U is B
     ("free") or L'(|B|^p) ("picard_U2").  Each L' advances level by level
-    through its own CharAccumulator, so memory is O(n_x + n_t).
+    through its own CharAccumulator, so memory is O(n_x + n_t).  On the
+    free test field U = B, so both numerators are one field, L'(|B|^p):
+    it is stepped once and its sup fills rows 1 and 2.
 
     The levels go in blocks of BLOCK: weights, free data, sources and sups
     are taken over the block's widest active slice at once, and only the
     accumulator steps run per level, each on its own level's slice.  The
     fields vanish outside a level's cone, so the extra nodes add nothing.
-    With the free test field every source carries a factor |B|, so the
-    nonlinear weight is evaluated only on the block's columns where B is
+    With the free test field the one source |B|^p carries a factor |B|, so
+    the nonlinear weight is evaluated only on the block's columns where B is
     nonzero (the two d'Alembert bands |x -+ t| < R) and left 0 elsewhere,
     which changes no source; picard_U2 weighs every node, since its L'U
     source is dense.
@@ -258,7 +260,10 @@ def apriori_profiles(
     p, h, R = params.p, grid.h, params.R
     x = grid.x_nodes()
     free = CharAccumulator.seeded(data, grid, params.epsilon)
-    acc_U, acc_LU, acc_LB = (CharAccumulator(grid.n_x, grid.n_t, h) for _ in range(3))
+    if test_field == "free":
+        acc_LU = CharAccumulator(grid.n_x, grid.n_t, h)  # L'(|B|^p): both numerators
+    else:
+        acc_U, acc_LU, acc_LB = (CharAccumulator(grid.n_x, grid.n_t, h) for _ in range(3))
     out = np.empty((3, grid.n_t + 1))
     for n0 in range(0, grid.n_t + 1, BLOCK):
         n1 = min(n0 + BLOCK, grid.n_t + 1)
@@ -269,17 +274,19 @@ def apriori_profiles(
         w = weight_w(xa, t, params)
         B = free.values(n0, n1, LO, HI)
         if test_field == "free":
-            # every source carries |B|, so W = 0 off B's columns changes no source
-            U = B
+            # the source |B|^p carries |B|, so W = 0 off B's columns changes nothing
             cols = np.any(B != 0.0, axis=0)
             W = np.zeros_like(B)
             W[:, cols] = nonlinear_weight(xa[cols], t, params)
+            LU = _explicit_block(acc_LU, n0, slices, np.abs(B) ** p * W)
+            out[0, n0:n1] = _masked_weighted_sup(B, w)
+            out[1:, n0:n1] = _masked_weighted_sup(LU, w)
         else:
             W = nonlinear_weight(xa, t, params)  # L'U is dense: so is its source
             U = _explicit_block(acc_U, n0, slices, np.abs(B) ** p * W)
-        LU = _explicit_block(acc_LU, n0, slices, np.abs(U) ** p * W)
-        LB = _explicit_block(acc_LB, n0, slices, np.abs(B) ** (p - 1) * np.abs(U) * W)
-        out[:, n0:n1] = [_masked_weighted_sup(V, w) for V in (U, LU, LB)]
+            LU = _explicit_block(acc_LU, n0, slices, np.abs(U) ** p * W)
+            LB = _explicit_block(acc_LB, n0, slices, np.abs(B) ** (p - 1) * np.abs(U) * W)
+            out[:, n0:n1] = [_masked_weighted_sup(V, w) for V in (U, LU, LB)]
     return out
 
 

@@ -36,22 +36,21 @@ def classify_regime(p: Number, a: Number, b: Number) -> Regime:
 
 
 def lifespan_bound(p: float, a: float, b: float, epsilon: float, c: float) -> float:
-    """Evaluate the regime's lifespan formula with constant c (inf if global)."""
+    """Evaluate the regime's lifespan formula with constant c (inf if global
+    or past the float range)."""
     if not (p > 1 and 0 < epsilon < math.inf and 0 < c < math.inf):
         raise ValueError("need p > 1 and finite epsilon > 0, c > 0")
     regime = classify_regime(p, a, b)
     kind = regime.kind
     if kind is RegimeKind.global_:
         return math.inf
-    if kind is RegimeKind.exp_p_minus_1:
-        arg = c * epsilon ** -(p - 1)
-    elif kind is RegimeKind.exp_p_p_minus_1:
-        arg = c * epsilon ** (-p * (p - 1))
-    else:
-        return c * epsilon ** (-regime.exponent)
     try:
-        return math.exp(arg)
-    except OverflowError:
+        if kind is RegimeKind.exp_p_minus_1:
+            return math.exp(c * epsilon ** -(p - 1))
+        if kind is RegimeKind.exp_p_p_minus_1:
+            return math.exp(c * epsilon ** (-p * (p - 1)))
+        return c * epsilon ** (-regime.exponent)
+    except OverflowError:  # a tiny epsilon overflows the power or the exp
         return math.inf
 
 
@@ -61,6 +60,11 @@ def invert_lifespan_bound(p: float, a: float, b: float, T: float, c: float = 1.0
     kind = regime.kind
     if kind is RegimeKind.global_:
         raise ValueError("global regime has no finite lifespan to invert")
+    if kind in (RegimeKind.exp_p_minus_1, RegimeKind.exp_p_p_minus_1) and not T > 1:
+        raise ValueError(
+            "an exponential-regime lifespan exp(c*eps^-r) exceeds 1 for every eps > 0: "
+            f"T={T:g} must exceed 1"
+        )
     if kind is RegimeKind.exp_p_minus_1:
         return (c / math.log(T)) ** (1.0 / (p - 1))
     if kind is RegimeKind.exp_p_p_minus_1:

@@ -121,28 +121,44 @@ class TestSweep:
         assert not result.entries[0].blew_up()
 
 
+def stored_band(params, data, grid):
+    """The band free field B = eps*u_t0 on every node of every level."""
+    return CharAccumulator.seeded(data, grid, params.epsilon).values(0, grid.n_t + 1, 0, grid.n_x - 1)
+
+
 def stored_fields(params, data, grid, test_field):
-    """The test field U, L'(|U|^p) and L'(|B|^{p-1}|U|) as whole stored fields."""
+    """The test field U, L'(|U|^p) and L'(|B|^{p-1}|U|) as whole stored fields.
+
+    On the free field U = B, so L'(|B|^{p-1}|U|) is taken as L'(|B|^p), as
+    apriori_profiles takes it; TestFreeNumerators checks that identity
+    against L'(|B|^{p-1}|B|).
+    """
     p = params.p
-    band = CharAccumulator.seeded(data, grid, params.epsilon).values(0, grid.n_t + 1, 0, grid.n_x - 1)
+    band = stored_band(params, data, grid)
     U = band if test_field == "free" else apply_duhamel_field(np.abs(band) ** p, grid, params)
     LU = apply_duhamel_field(np.abs(U) ** p, grid, params)
-    LB = apply_duhamel_field(np.abs(band) ** (p - 1) * np.abs(U), grid, params)
+    if test_field == "free":
+        LB = LU
+    else:
+        LB = apply_duhamel_field(np.abs(band) ** (p - 1) * np.abs(U), grid, params)
     return U, LU, LB
+
+
+def level_sups(V, grid, params):
+    """sup |w V| over the active cone of each level of a stored field, w*0 counted as 0."""
+    x = grid.x_nodes()
+    out = np.empty(V.shape[0])
+    for n in range(V.shape[0]):
+        lo, hi = grid.active_slice(n, params.R)
+        w = weight_w(x[lo : hi + 1], n * grid.h, params)
+        Vn = V[n, lo : hi + 1]
+        out[n] = np.max(np.where(Vn == 0.0, 0.0, w) * np.abs(Vn))
+    return out
 
 
 def stored_field_profiles(params, data, grid, test_field):
     """apriori_profiles from whole stored fields, one level at a time."""
-    fields = stored_fields(params, data, grid, test_field)
-    x = grid.x_nodes()
-    out = np.empty((3, grid.n_t + 1))
-    for n in range(grid.n_t + 1):
-        lo, hi = grid.active_slice(n, params.R)
-        w = weight_w(x[lo : hi + 1], n * grid.h, params)
-        for row, V in enumerate(fields):
-            Vn = V[n, lo : hi + 1]
-            out[row, n] = np.max(np.where(Vn == 0.0, 0.0, w) * np.abs(Vn))
-    return out
+    return np.array([level_sups(V, grid, params) for V in stored_fields(params, data, grid, test_field)])
 
 
 def stored_field_ratios(params, data, h, T_ladder, test_field):
@@ -158,6 +174,64 @@ def stored_field_ratios(params, data, h, T_ladder, test_field):
         D = D_a(T, params.a, R)
         rows.append((T, norm_LU / (E * norm_U**p), norm_LB / (D * norm_U)))
     return rows
+
+
+# (p, a, b, R) of the five growth-factor cases of acceptance criterion 6, then p != 2
+FREE_CASES = [
+    (2.0, 1.0, 0.0, 1.0, Family.bump),
+    (2.0, 0.0, 0.0, 2.0, Family.bump),
+    (2.0, 0.5, -3.0, 1.0, Family.bump),
+    (2.0, -0.5, 0.0, 1.0, Family.bump),
+    (2.0, -0.5, -3.0, 1.0, Family.bump_pair),
+    (3.0, -1.5, 0.0, 1.0, Family.bump_pair),
+    (3.0, 0.0, 0.0, 2.0, Family.bump),
+    (2.5, -0.5, 0.0, 1.0, Family.bump_pair),
+    (1.5, 1.0, 0.0, 1.0, Family.bump),
+]
+
+
+class TestFreeNumerators:
+    """On the free test field U = B both numerators are L'(|B|^p)."""
+
+    @staticmethod
+    def profiles(p, a, b, R, family):
+        params = ModelParams(p, a, b, 0.01, R)
+        data = InitialData(family, 0.7, 1.0, R)
+        grid = GridSpec(h=0.1, t_max=20.0, pad=max(1.0, R))
+        return params, data, grid, apriori_profiles(params, data, grid, "free")
+
+    @pytest.mark.parametrize("p, a, b, R, family", FREE_CASES)
+    def test_rows_1_and_2_are_one_field(self, p, a, b, R, family):
+        *_, profiles = self.profiles(p, a, b, R, family)
+        assert np.any(profiles[1] > 0)
+        assert np.array_equal(profiles[1], profiles[2])
+
+    @pytest.mark.parametrize("test_field, n_acc", [("free", 2), ("picard_U2", 4)])
+    def test_free_pass_steps_one_accumulator_besides_the_seed(self, test_field, n_acc, monkeypatch):
+        built = []
+
+        class Counted(CharAccumulator):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr("wavelifespan.solver.CharAccumulator", Counted)
+        params = ModelParams(2.0, -0.5, 0.0, 0.01, 1.0)
+        grid = GridSpec(h=0.1, t_max=5.0, pad=1.0)
+        apriori_profiles(params, InitialData(Family.bump, 0.0, 1.0, 1.0), grid, test_field)
+        assert len(built) == n_acc
+
+    @pytest.mark.parametrize("p, a, b, R, family", FREE_CASES)
+    def test_row_2_matches_independent_reference(self, p, a, b, R, family):
+        params, data, grid, profiles = self.profiles(p, a, b, R, family)
+        band = stored_band(params, data, grid)
+        LB = apply_duhamel_field(np.abs(band) ** (p - 1) * np.abs(band), grid, params)
+        ref = level_sups(LB, grid, params)
+        if p == 2:
+            # |B|^1 * |B| and |B|^2 are bitwise equal under numpy's power fast paths
+            assert np.array_equal(profiles[2], ref)
+        else:
+            np.testing.assert_allclose(profiles[2], ref, rtol=1e-15, atol=0.0)
 
 
 class TestVerifyApriori:
@@ -237,6 +311,36 @@ class TestVerifyApriori:
         rows = verify_apriori(params, bump_data, 0.1, [5.0, 10.0], test_field="picard_U2")
         assert all(math.isfinite(r) and r > 0 for _, rE, rD in rows for r in (rE, rD))
 
+    @pytest.fixture
+    def pass_calls(self, monkeypatch):
+        """Every call that reaches the streamed pass, which still runs."""
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return apriori_profiles(*args, **kwargs)
+
+        monkeypatch.setattr("wavelifespan.harness.apriori_profiles", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "T_ladder, message",
+        [
+            ([-5.0, 10.0], "finite and >= 0"),
+            ([math.nan, 10.0], "finite and >= 0"),
+            ([5.0, math.inf], "finite and >= 0"),
+            ([5.01, 10.0], "not a lattice level"),
+            ([5.0, 10.01], "t_max must be an integer multiple of h"),  # the grid's own check
+        ],
+    )
+    def test_bad_T_is_rejected_before_the_pass(self, T_ladder, message, bump_data, pass_calls):
+        params = ModelParams(2.0, -0.5, 0.0, 0.01, 1.0)
+        with pytest.raises(ValueError, match=message):
+            verify_apriori(params, bump_data, 0.05, T_ladder)
+        assert pass_calls == []
+        verify_apriori(params, bump_data, 0.05, [5.0, 10.0])
+        assert len(pass_calls) == 1  # the spy sees a valid ladder's pass
+
     def test_validation(self, bump_data):
         params = ModelParams(2.0, 0.5, 0.0, 0.01, 1.0)
         with pytest.raises(ValueError):
@@ -263,6 +367,17 @@ class TestCli:
         assert run_cli(["bounds", "--p", "2", "--a", "-0.5", "--b", "0", "--eps", "0.1"]) == 0
         assert capsys.readouterr().out.strip() == "100.0000"
         assert run_cli(["bounds", "--p", "2", "--a", "1", "--b", "0", "--eps", "0.1"]) == 0
+        assert capsys.readouterr().out.strip() == "infinity"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--p", "2", "--a", "-0.5", "--eps", "1e-200"],
+            ["bounds", "--p", "3", "--a", "0", "--b", "0", "--eps", "1e-200"],
+        ],
+    )
+    def test_bounds_past_float_range_print_infinity(self, argv, capsys):
+        assert run_cli(argv) == 0
         assert capsys.readouterr().out.strip() == "infinity"
 
     def test_solve_json(self, capsys):
@@ -332,6 +447,25 @@ class TestCli:
     def test_non_finite_input_exits_1_before_marching(self, argv, monkeypatch):
         monkeypatch.setattr("wavelifespan.harness.march", self.no_march)
         assert run_cli(argv) == 1
+
+    @pytest.mark.parametrize("t_lo", ["1", "0.5"])
+    def test_exponential_sweep_to_T_at_most_one_exits_1_before_marching(self, t_lo, capsys, monkeypatch):
+        monkeypatch.setattr("wavelifespan.harness.march", self.no_march)
+        argv = ["sweep", "--p", "2", "--a", "0", "--b", "0", "--t-lo", t_lo, "--t-hi", "3"]
+        assert run_cli(argv) == 1
+        assert "must exceed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "T, message", [(["-5", "10"], "finite and >= 0"), (["5.01", "10"], "not a lattice level")]
+    )
+    def test_bad_apriori_T_exits_1_before_the_pass(self, T, message, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("wavelifespan.harness.apriori_profiles", lambda *args: calls.append(args))
+        assert run_cli(["verify-apriori", "--a", "-0.5", "--T", *T]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert calls == []
 
     def test_negative_blowup_seq_epsilon_exits_1(self, capsys):
         # eps^p is complex for eps < 0 and p = 2.5

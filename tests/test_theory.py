@@ -90,8 +90,18 @@ class TestLifespanBound:
     def test_global_is_infinite(self):
         assert lifespan_bound(2, 1, 0, 0.05, 1.0) == math.inf
 
-    def test_overflow_saturates_to_inf(self):
-        assert lifespan_bound(2, 0, 0, 1e-4, 1.0) == math.inf
+    @pytest.mark.parametrize(
+        "p, a, b, eps",
+        [
+            (2.0, 0.0, 0.0, 1e-4),  # exp overflows
+            (2.0, -0.5, 0.0, 1e-200),  # polynomial: eps^-2 overflows
+            (2.0, 0.25, -2.75, 1e-200),  # polynomial p(1+a)+b < 0: eps^-8 overflows
+            (3.0, 0.0, 0.0, 1e-200),  # exponential: eps^-(p-1) overflows before exp
+            (2.0, 0.5, -3.0, 1e-200),  # exponential p(p-1): eps^-2 overflows before exp
+        ],
+    )
+    def test_overflow_saturates_to_inf(self, p, a, b, eps):
+        assert lifespan_bound(p, a, b, eps, 1.0) == math.inf
 
     @pytest.mark.parametrize("a, b", [(-0.5, 0.0), (-0.5, -3.0), (0.0, 0.0), (0.5, -3.0)])
     def test_invert_roundtrip(self, a, b):
@@ -102,6 +112,17 @@ class TestLifespanBound:
     def test_invert_rejects_global(self):
         with pytest.raises(ValueError):
             invert_lifespan_bound(2, 1, 0, 100.0)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (0.5, -3.0)])
+    @pytest.mark.parametrize("T", [1.0, 0.5, 0.0])
+    def test_invert_rejects_exponential_T_at_most_one(self, a, b, T):
+        # exp(c eps^-r) > 1 for every eps > 0, so no eps predicts T <= 1
+        with pytest.raises(ValueError, match="must exceed 1"):
+            invert_lifespan_bound(2, a, b, T)
+
+    def test_invert_polynomial_accepts_T_below_one(self):
+        eps = invert_lifespan_bound(2, -0.5, 0, 0.25)
+        assert lifespan_bound(2, -0.5, 0, eps, 1.0) == pytest.approx(0.25, rel=1e-12)
 
 
 class TestAprioriFunctions:
