@@ -178,6 +178,12 @@ class CharField:
     levels: Optional[np.ndarray]
     n_levels_done: int = 0
 
+    def stored_levels(self) -> np.ndarray:
+        """levels, or ValueError when the run did not keep the field."""
+        if self.levels is None:
+            raise ValueError("field values were not stored for this run")
+        return self.levels
+
 
 @dataclass
 class LifespanEstimate:

@@ -177,8 +177,7 @@ def field_sampler(field) -> Callable:
     """Wrap a CharField as an (x, t) -> U callable that refuses missing nodes."""
 
     grid = field.grid
-    if field.levels is None:
-        raise ValueError("field has no stored levels")
+    levels = field.stored_levels()
 
     def sample(x, t):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -193,9 +192,9 @@ def field_sampler(field) -> Callable:
             np.any(i < 0)
             or np.any(i >= grid.n_x)
             or np.any(n < 0)
-            or np.any(n >= field.levels.shape[0])
+            or np.any(n >= levels.shape[0])
         ):
             raise KeyError("field access outside the computed lattice")
-        return field.levels[n, i]
+        return levels[n, i]
 
     return sample

@@ -189,8 +189,7 @@ def compare_fields(
     construction).  The difference is taken only on the two bracketing
     leapfrog levels and the matched columns, so no u_t array is built.
     """
-    if char_field.levels is None:
-        raise ValueError("march field has no stored levels")
+    levels = char_field.stored_levels()
     x_lo, x_hi, t_lo, t_hi = window
     if not (x_lo < x_hi and t_lo <= t_hi):
         raise ValueError("empty comparison window")
@@ -211,8 +210,7 @@ def compare_fields(
         return (leapfrog.level(j + 2)[ix_leap] - leapfrog.level(j)[ix_leap]) / (2.0 * dt)
 
     worst = None
-    n_levels = char_field.levels.shape[0]
-    for n in range(n_levels):
+    for n in range(levels.shape[0]):
         t = n * grid.h
         if t < t_lo or t > t_hi or t < times_l[0] or t > times_l[-1]:
             continue
@@ -221,7 +219,7 @@ def compare_fields(
         k1 = min(k + 1, len(times_l) - 1)
         frac = (t - times_l[k]) / dt
         ut_here = (1.0 - frac) * centred_u_t(k) + frac * centred_u_t(k1)
-        diff = np.max(np.abs(char_field.levels[n, xmask] - ut_here))
+        diff = np.max(np.abs(levels[n, xmask] - ut_here))
         worst = diff if worst is None else max(worst, diff)
     if worst is None:
         raise ValueError("empty comparison window")

@@ -3,16 +3,15 @@
 With dx = dt = h both backward characteristics through a node pass through
 earlier nodes exactly, so the Duhamel integral is a trapezoid sum of node
 values.  Running prefix sums along both characteristic families
-(kernels.CharAccumulator) make each node update O(1) amortized; the same
-accumulator serves march, apply_duhamel_field and the streamed a-priori
-norms of apriori_profiles, which walks the levels in blocks of BLOCK and
-steps the accumulators per level only; on the free test field it weighs
-only the columns of a block where the free data lives.  Seeded with the
-halves of the free data that travel along each family, the two sums
-through a node add up to eps*u_t0 plus the trapezoid over the levels below
-it.  The s = t endpoint couples the node to itself; one vectorised Newton
-iteration per level resolves it after a closed-form fold test has ruled
-out blow-up.
+(kernels.CharAccumulator) make each node update O(1) amortized.  Seeded
+with the halves of the free data that travel along each family, the two
+sums through a node add up to eps*u_t0 plus the trapezoid over the levels
+below it.  march resolves the s = t endpoint, which couples a node to
+itself, by one vectorised Newton iteration per level after a closed-form
+fold test has ruled out blow-up.  The explicit passes, apriori_profiles and
+picard_iterate, stream their L' through the level blocks of _level_blocks;
+picard_iterate stores only its last iterate, in one field plus
+O(j_max (n_x + n_t)), and none when the sequence diverged.
 """
 
 from __future__ import annotations
@@ -180,23 +179,17 @@ def weighted_sup_norm(field: CharField, params: ModelParams, T: float) -> float:
     Nodes where the weight is singular (a = 0 with t+|x|+R = 1) contribute
     only through nonzero U; w * 0 is counted as 0.
     """
-    if field.levels is None:
-        raise ValueError("field values were not stored for this run")
+    levels = field.stored_levels()
     grid = field.grid
     n_T = grid.index_of_t(T)
-    if n_T > field.levels.shape[0] - 1:
-        raise ValueError("T exceeds the computed horizon")
-    return field_weighted_sup(field.levels[: n_T + 1], grid, params)
-
-
-def field_weighted_sup(U: np.ndarray, grid: GridSpec, params: ModelParams) -> float:
-    """sup |w U| over the active cones of levels 0..len(U)-1 of a lattice field."""
+    if not 0 <= n_T < levels.shape[0]:
+        raise ValueError(f"T={T:g} is negative or exceeds the computed horizon")
     x = grid.x_nodes()
     best = 0.0
-    for n in range(U.shape[0]):
+    for n in range(n_T + 1):
         lo, hi = grid.active_slice(n, params.R)
         w = weight_w(x[lo : hi + 1], n * grid.h, params)
-        best = max(best, _masked_weighted_sup(U[n, lo : hi + 1], w))
+        best = max(best, _masked_weighted_sup(levels[n, lo : hi + 1], w))
     return best
 
 
@@ -232,6 +225,24 @@ def _explicit_block(acc: CharAccumulator, n0: int, slices: list, G: np.ndarray) 
     return V
 
 
+def _level_blocks(params: ModelParams, data: InitialData, grid: GridSpec, n_last: int):
+    """Levels 0..n_last in blocks of BLOCK, as (n0, slices, xa, t, B).
+
+    slices are the levels' active slices and xa the x nodes of the last and
+    widest; t is the column of the block's times and B the free data
+    eps*u_t0 on xa.  The fields vanish outside a level's cone, so a block's
+    weights, sources and sups can all be taken over xa at once.
+    """
+    x = grid.x_nodes()
+    free = CharAccumulator.seeded(data, grid, params.epsilon)
+    for n0 in range(0, n_last + 1, BLOCK):
+        n1 = min(n0 + BLOCK, n_last + 1)
+        slices = [grid.active_slice(n, params.R) for n in range(n0, n1)]
+        LO, HI = slices[-1]
+        t = grid.h * np.arange(n0, n1)[:, None]
+        yield n0, slices, x[LO : HI + 1], t, free.values(n0, n1, LO, HI)
+
+
 def apriori_profiles(
     params: ModelParams, data: InitialData, grid: GridSpec, test_field: str = "free"
 ) -> np.ndarray:
@@ -240,53 +251,38 @@ def apriori_profiles(
     Rows 0, 1 and 2 hold sup |w U|, sup |w L'(|U|^p)| and
     sup |w L'(|B|^{p-1} |U|)| over the active cone of each level 0..n_t,
     where B = eps*u_t0 is the band free field and the test field U is B
-    ("free") or L'(|B|^p) ("picard_U2").  Each L' advances level by level
-    through its own CharAccumulator, so memory is O(n_x + n_t).  On the
-    free test field U = B, so both numerators are one field, L'(|B|^p):
-    it is stepped once and its sup fills rows 1 and 2.
-
-    The levels go in blocks of BLOCK: weights, free data, sources and sups
-    are taken over the block's widest active slice at once, and only the
-    accumulator steps run per level, each on its own level's slice.  The
-    fields vanish outside a level's cone, so the extra nodes add nothing.
-    With the free test field the one source |B|^p carries a factor |B|, so
-    the nonlinear weight is evaluated only on the block's columns where B is
-    nonzero (the two d'Alembert bands |x -+ t| < R) and left 0 elsewhere,
-    which changes no source; picard_U2 weighs every node, since its L'U
-    source is dense.
+    ("free") or L'(|B|^p) ("picard_U2").  Each L' streams through
+    _level_blocks with its own CharAccumulator, so memory is O(n_x + n_t).
+    Both test fields step L'(|B|^p) once: on the free field U = B, so it is
+    both numerators and fills rows 1 and 2; on picard_U2 it is U.  The free
+    field's one source |B|^p carries |B|, so the nonlinear weight is taken
+    only on the block's columns where B is nonzero (the two d'Alembert bands
+    |x -+ t| < R); picard_U2 weighs every node, since its L'U source is dense.
     """
     if test_field not in ("free", "picard_U2"):
         raise ValueError(f"unknown test field {test_field!r}")
-    p, h, R = params.p, grid.h, params.R
-    x = grid.x_nodes()
-    free = CharAccumulator.seeded(data, grid, params.epsilon)
-    if test_field == "free":
-        acc_LU = CharAccumulator(grid.n_x, grid.n_t, h)  # L'(|B|^p): both numerators
-    else:
-        acc_U, acc_LU, acc_LB = (CharAccumulator(grid.n_x, grid.n_t, h) for _ in range(3))
+    acc = CharAccumulator(grid.n_x, grid.n_t, grid.h)  # L'(|B|^p)
+    if test_field == "picard_U2":
+        acc_LU, acc_LB = (CharAccumulator(grid.n_x, grid.n_t, grid.h) for _ in range(2))
     out = np.empty((3, grid.n_t + 1))
-    for n0 in range(0, grid.n_t + 1, BLOCK):
-        n1 = min(n0 + BLOCK, grid.n_t + 1)
-        slices = [grid.active_slice(n, R) for n in range(n0, n1)]
-        LO, HI = slices[-1]  # cones only widen, so the last level's slice holds the others
-        xa = x[LO : HI + 1]
-        t = h * np.arange(n0, n1)[:, None]
+    for n0, slices, xa, t, B in _level_blocks(params, data, grid, grid.n_t):
+        rows = slice(n0, n0 + len(slices))
         w = weight_w(xa, t, params)
-        B = free.values(n0, n1, LO, HI)
         if test_field == "free":
             # the source |B|^p carries |B|, so W = 0 off B's columns changes nothing
             cols = np.any(B != 0.0, axis=0)
             W = np.zeros_like(B)
             W[:, cols] = nonlinear_weight(xa[cols], t, params)
-            LU = _explicit_block(acc_LU, n0, slices, np.abs(B) ** p * W)
-            out[0, n0:n1] = _masked_weighted_sup(B, w)
-            out[1:, n0:n1] = _masked_weighted_sup(LU, w)
         else:
             W = nonlinear_weight(xa, t, params)  # L'U is dense: so is its source
-            U = _explicit_block(acc_U, n0, slices, np.abs(B) ** p * W)
-            LU = _explicit_block(acc_LU, n0, slices, np.abs(U) ** p * W)
-            LB = _explicit_block(acc_LB, n0, slices, np.abs(B) ** (p - 1) * np.abs(U) * W)
-            out[:, n0:n1] = [_masked_weighted_sup(V, w) for V in (U, LU, LB)]
+        L = _explicit_block(acc, n0, slices, np.abs(B) ** params.p * W)
+        if test_field == "free":
+            out[0, rows] = _masked_weighted_sup(B, w)
+            out[1:, rows] = _masked_weighted_sup(L, w)
+        else:
+            LU = _explicit_block(acc_LU, n0, slices, np.abs(L) ** params.p * W)
+            LB = _explicit_block(acc_LB, n0, slices, np.abs(B) ** (params.p - 1) * np.abs(L) * W)
+            out[:, rows] = [_masked_weighted_sup(V, w) for V in (L, LU, LB)]
     return out
 
 
@@ -296,57 +292,64 @@ class PicardReport:
 
     norms: list = field(default_factory=list)  # ||U_j|| for j = 1..j_max
     diff_norms: list = field(default_factory=list)  # ||U_{j+1} - U_j|| for j = 1..j_max-1
-    final: Optional[np.ndarray] = None
+    final: Optional[np.ndarray] = None  # U_{j_max}; None when the sequence diverged
     diverged_at: Optional[int] = None
 
     def contraction_ratios(self) -> list[float]:
-        out = []
-        for j in range(1, len(self.diff_norms)):
-            prev = self.diff_norms[j - 1]
-            if prev > 0:
-                out.append(self.diff_norms[j] / prev)
-        return out
+        d = self.diff_norms
+        return [d[j] / d[j - 1] for j in range(1, len(d)) if d[j - 1] > 0]
 
 
 def picard_iterate(
-    params: ModelParams,
-    data: InitialData,
-    grid: GridSpec,
-    T: float,
-    j_max: int,
+    params: ModelParams, data: InitialData, grid: GridSpec, T: float, j_max: int
 ) -> PicardReport:
-    """Materialize the Picard sequence on [0, T] and record its weighted norms."""
+    """Stream the Picard sequence on [0, T] and record its weighted norms.
+
+    U_{j+1} needs U_j only on its level and below, so all iterates advance
+    together through each block.  diverged_at is the j of the first
+    non-finite source |U_j + eps u_t0|^p or iterate U_j, in sequence order.
+    """
+    require_valid(params, data, grid)
     if j_max < 2:
         raise ValueError("j_max must be >= 2")
+    if not (T >= 0 and np.isfinite(T)):
+        raise ValueError(f"T={T:g} must be finite and >= 0")
     n_T = grid.index_of_t(T)
     if n_T > grid.n_t:
         raise ValueError("T exceeds the grid horizon")
-    free = CharAccumulator.seeded(data, grid, params.epsilon).values(0, n_T + 1, 0, grid.n_x - 1)
-    report = PicardReport()
-    U = np.zeros_like(free)  # U_1 = 0
-    report.norms.append(0.0)
+    accs = [CharAccumulator(grid.n_x, n_T, grid.h) for _ in range(1, j_max)]
+    norms, diffs = np.zeros(j_max), np.zeros(j_max - 1)
+    final = np.zeros((n_T + 1, grid.n_x))
+    bad = 2 * j_max  # first non-finite step: 2j for source j, 2j + 1 for iterate j + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, j_max):
-            source = np.abs(U + free) ** params.p
-            if not np.all(np.isfinite(source)):
-                report.diverged_at = j
-                break
-            U_next = apply_duhamel_field(source, grid, params)
-            if not np.all(np.isfinite(U_next)):
-                report.diverged_at = j + 1
-                break
-            report.diff_norms.append(field_weighted_sup(U_next - U, grid, params))
-            U = U_next
-            report.norms.append(field_weighted_sup(U, grid, params))
-    report.final = U
+        for n0, slices, xa, t, B in _level_blocks(params, data, grid, n_T):
+            w, W = weight_w(xa, t, params), nonlinear_weight(xa, t, params)
+            U = np.zeros_like(B)  # U_1 = 0
+            for j, acc in enumerate(accs, start=1):
+                source = np.abs(U + B) ** params.p
+                if not np.all(np.isfinite(source)):
+                    bad = min(bad, 2 * j)
+                    break
+                U_next = _explicit_block(acc, n0, slices, source * W)
+                if not np.all(np.isfinite(U_next)):
+                    bad = min(bad, 2 * j + 1)
+                    break
+                diffs[j - 1] = max(diffs[j - 1], np.max(_masked_weighted_sup(U_next - U, w)))
+                norms[j] = max(norms[j], np.max(_masked_weighted_sup(U_next, w)))
+                U = U_next
+            LO, HI = slices[-1]
+            final[n0 : n0 + len(slices), LO : HI + 1] = U
+    report = PicardReport(norms[: bad // 2].tolist(), diffs[: bad // 2 - 1].tolist())
+    if bad < 2 * j_max:
+        report.diverged_at = (bad + 1) // 2
+    else:
+        report.final = final
     return report
 
 
 def reconstruct_u(field: CharField, data: InitialData, epsilon: float) -> np.ndarray:
     """Per-column trapezoid time-integral of U plus eps*f(x)."""
-    if field.levels is None:
-        raise ValueError("field values were not stored for this run")
-    U = field.levels
+    U = field.stored_levels()
     u = np.zeros_like(U)
     u[1:] = np.cumsum(field.grid.h * (U[1:] + U[:-1]) / 2.0, axis=0)
     u += epsilon * data.f(field.grid.x_nodes())[None, :]
@@ -355,13 +358,11 @@ def reconstruct_u(field: CharField, data: InitialData, epsilon: float) -> np.nda
 
 def pde_residual(u: np.ndarray, field: CharField, params: ModelParams) -> float:
     """sup over interior nodes of |D_tt u - D_xx u - |U|^p * weight|."""
-    if field.levels is None:
-        raise ValueError("field values were not stored for this run")
+    U = field.stored_levels()
     grid = field.grid
     h = grid.h
     if u.shape[0] < 3:
         raise ValueError("need at least three time levels")
-    U = field.levels
     x = grid.x_nodes()[1:-1]
     t = (h * np.arange(u.shape[0]))[1:-1]
     d_tt = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / h**2
@@ -373,12 +374,11 @@ def pde_residual(u: np.ndarray, field: CharField, params: ModelParams) -> float:
 
 def dump_field_csv(field: CharField, path: str) -> None:
     """CSV dump with header t,x,u_t in row-major time order."""
-    if field.levels is None:
-        raise ValueError("field values were not stored for this run")
+    levels = field.stored_levels()
     grid = field.grid
     xs = [f"{x:.10g}" for x in grid.x_nodes()]
     with open(path, "w") as fh:
         fh.write("t,x,u_t\n")
-        for n, row in enumerate(field.levels):
+        for n, row in enumerate(levels):
             t = f"{n * grid.h:.10g}"
             fh.write("".join(f"{t},{x},{v:.17g}\n" for x, v in zip(xs, row.tolist())))

@@ -65,6 +65,8 @@ def invert_lifespan_bound(p: float, a: float, b: float, T: float, c: float = 1.0
             "an exponential-regime lifespan exp(c*eps^-r) exceeds 1 for every eps > 0: "
             f"T={T:g} must exceed 1"
         )
+    if not T > 0:
+        raise ValueError(f"a lifespan is positive: T={T:g}")
     if kind is RegimeKind.exp_p_minus_1:
         return (c / math.log(T)) ** (1.0 / (p - 1))
     if kind is RegimeKind.exp_p_p_minus_1:

@@ -19,7 +19,7 @@ from wavelifespan.harness import (
     verify_apriori,
 )
 from wavelifespan.kernels import CharAccumulator, weight_w
-from wavelifespan.solver import BLOCK, apply_duhamel_field, apriori_profiles, field_weighted_sup
+from wavelifespan.solver import BLOCK, apply_duhamel_field, apriori_profiles
 from wavelifespan.theory import D_a, E_ab, lifespan_bound
 
 
@@ -169,7 +169,7 @@ def stored_field_ratios(params, data, h, T_ladder, test_field):
     rows = []
     for T in T_ladder:
         n_T = grid.index_of_t(T)
-        norm_U, norm_LU, norm_LB = (field_weighted_sup(V[: n_T + 1], grid, params) for V in (U, LU, LB))
+        norm_U, norm_LU, norm_LB = (np.max(level_sups(V[: n_T + 1], grid, params)) for V in (U, LU, LB))
         E = E_ab(T, p, params.a, params.b, R)
         D = D_a(T, params.a, R)
         rows.append((T, norm_LU / (E * norm_U**p), norm_LB / (D * norm_U)))

@@ -2,7 +2,8 @@
 
 An import the module never reads fails unless its statement carries
 `# noqa: F401`; a module-level private function or class that nothing in
-its module references fails.
+its module references fails; so does importing a private name from another
+module.
 """
 
 import ast
@@ -58,6 +59,17 @@ def unreferenced_private_defs(source: str) -> list:
     ]
 
 
+def private_imports(source: str) -> list:
+    """Names with one leading underscore that a from-import binds."""
+    return [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
@@ -68,6 +80,11 @@ def test_every_private_definition_is_referenced(path):
     assert unreferenced_private_defs(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_is_imported(path):
+    assert private_imports(path.read_text()) == []
+
+
 def test_checks_flag_what_they_should():
     source = (
         "from typing import Optional, Sequence\n"
@@ -76,6 +93,8 @@ def test_checks_flag_what_they_should():
         "def _dead(): pass\n"
         "def _live(x: Optional[int]): return os.path\n"
         "_live(None)\n"
+        "from .solver import _level_blocks, __doc__, march  # noqa: F401\n"
     )
     assert unused_imports(source) == ["line 1: Sequence"]
     assert unreferenced_private_defs(source) == ["line 4: _dead"]
+    assert private_imports(source) == ["line 7: _level_blocks"]

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from wavelifespan.kernels import (
     duhamel_Lprime,
     field_sampler,
     free_solution_dt,
+    weight_w,
 )
 from wavelifespan.solver import (
     _solve_level,
@@ -384,7 +386,73 @@ class TestDuhamelField:
             assert out[grid.index_of_t(t), grid.index_of_x(x)] == pytest.approx(direct, abs=1e-12)
 
 
+def stored_picard(params, data, grid, T, j_max):
+    """The Picard sequence over whole stored fields: norms, diff norms and U_{j_max}.
+
+    Each iterate is one apply_duhamel_field over [0, T], and each norm a
+    per-level scan of a stored field; no iterate may diverge.
+    """
+    n_T = grid.index_of_t(T)
+    free = CharAccumulator.seeded(data, grid, params.epsilon).values(0, n_T + 1, 0, grid.n_x - 1)
+    x = grid.x_nodes()
+
+    def norm(V):
+        best = 0.0
+        for n in range(V.shape[0]):
+            lo, hi = grid.active_slice(n, params.R)
+            w = weight_w(x[lo : hi + 1], n * grid.h, params)
+            Vn = V[n, lo : hi + 1]
+            best = max(best, np.max(np.where(Vn == 0.0, 0.0, w) * np.abs(Vn)))
+        return best
+
+    U = np.zeros_like(free)
+    norms, diffs = [0.0], []
+    for _ in range(1, j_max):
+        U_next = apply_duhamel_field(np.abs(U + free) ** params.p, grid, params)
+        assert np.all(np.isfinite(U_next))
+        diffs.append(norm(U_next - U))
+        U = U_next
+        norms.append(norm(U))
+    return norms, diffs, U
+
+
 class TestPicard:
+    @pytest.mark.parametrize("T", [20.0, 12.0])  # 12 ends in a partial block
+    @pytest.mark.parametrize("family", [Family.bump, Family.bump_pair])
+    # criterion 8's parameters, then a case whose norms peak in an early block
+    @pytest.mark.parametrize("p, a, b, eps", [(2.0, 0.5, 0.0, 0.01), (3.0, -0.5, 0.0, 0.2)])
+    def test_streamed_sequence_equals_stored_loop(self, p, a, b, eps, family, T):
+        params = ModelParams(p, a, b, eps, 1.0)
+        data = InitialData(family, 0.0, 1.0, 1.0)
+        grid = GridSpec(h=0.05, t_max=20.0, pad=1.0)
+        report = picard_iterate(params, data, grid, T, j_max=6)
+        norms, diffs, final = stored_picard(params, data, grid, T, 6)
+        assert report.diverged_at is None
+        assert report.norms == norms
+        assert report.diff_norms == diffs
+        assert np.array_equal(report.final, final)
+
+    def test_divergence_keeps_the_finite_norms_and_no_field(self, bump_data):
+        params = ModelParams(2.0, -0.5, 0.0, 5.0, 1.0)
+        grid = GridSpec(h=0.1, t_max=10.0, pad=1.0)
+        report = picard_iterate(params, bump_data, grid, 10.0, j_max=12)
+        assert report.diverged_at == 10
+        assert len(report.norms) == 10 and len(report.diff_norms) == 9
+        assert all(math.isfinite(v) for v in report.norms + report.diff_norms)
+        assert report.final is None
+
+    def test_memory_is_one_field_plus_blocks(self, bump_data):
+        params = ModelParams(2.0, 0.5, 0.0, 0.01, 1.0)
+        grid = GridSpec(h=0.05, t_max=20.0, pad=1.0)
+        tracemalloc.start()
+        try:
+            report = picard_iterate(params, bump_data, grid, 20.0, j_max=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # whole stored iterates would take about 5 fields
+        assert peak <= 2.5 * report.final.nbytes
+
     def test_agrees_with_march(self, bump_data):
         params = ModelParams(2.0, 0.5, 0.0, 0.05, 1.0)
         grid = GridSpec(h=0.05, t_max=5.0, pad=1.0)
@@ -413,6 +481,11 @@ class TestPicard:
             picard_iterate(params, bump_data, grid, 2.0, j_max=1)
         with pytest.raises(ValueError):
             picard_iterate(params, bump_data, grid, 5.0, j_max=3)
+        for T in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                picard_iterate(params, bump_data, grid, T, j_max=3)
+        with pytest.raises(ValueError):
+            picard_iterate(ModelParams(2.0, 0.0, 0.0, math.nan, 1.0), bump_data, grid, 2.0, j_max=3)
 
 
 class TestNormsAndReconstruction:
@@ -431,6 +504,13 @@ class TestNormsAndReconstruction:
                 if u != 0.0:
                     best = max(best, abs(u) * float(weight_w(xs[i], n * grid.h, params)))
         assert weighted_sup_norm(field, params, 3.0) == pytest.approx(best, rel=1e-13)
+
+    def test_weighted_norm_rejects_negative_T(self, bump_data):
+        # n_T < 0 would slice levels from the end instead
+        params = ModelParams(2.0, -0.5, 0.0, 0.3, 1.0)
+        field, _ = march(params, bump_data, GridSpec(h=0.1, t_max=6.0, pad=1.0))
+        with pytest.raises(ValueError, match="negative"):
+            weighted_sup_norm(field, params, -5.9)
 
     def test_weighted_norm_monotone_in_T(self, bump_data):
         params = ModelParams(2.0, 0.5, 0.0, 0.1, 1.0)

@@ -120,6 +120,13 @@ class TestLifespanBound:
         with pytest.raises(ValueError, match="must exceed 1"):
             invert_lifespan_bound(2, a, b, T)
 
+    @pytest.mark.parametrize("a, b", [(-0.5, 0.0), (-0.5, -3.0)])
+    @pytest.mark.parametrize("T", [0.0, -4.0, math.nan])
+    def test_invert_polynomial_rejects_T_at_most_zero(self, a, b, T):
+        # (T/c)^(-1/r) divides by zero at T = 0 and is complex for T < 0
+        with pytest.raises(ValueError, match="lifespan is positive"):
+            invert_lifespan_bound(2, a, b, T)
+
     def test_invert_polynomial_accepts_T_below_one(self):
         eps = invert_lifespan_bound(2, -0.5, 0, 0.25)
         assert lifespan_bound(2, -0.5, 0, eps, 1.0) == pytest.approx(0.25, rel=1e-12)
