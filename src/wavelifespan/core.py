@@ -17,6 +17,20 @@ import numpy as np
 ALIGN_TOL = 1e-9
 
 
+def lattice_index(offset: float, h: float, what: str) -> int:
+    """round(offset / h), the index of offset on the lattice of step h.
+
+    Raises ValueError "{what} (h=...)" unless h is positive and finite and
+    offset / h is a finite integer to within ALIGN_TOL.
+    """
+    ratio = offset / h if 0 < h < math.inf else math.nan
+    if math.isfinite(ratio):
+        k = int(round(ratio))
+        if abs(ratio - k) <= ALIGN_TOL * max(1.0, abs(ratio)) + ALIGN_TOL:
+            return k
+    raise ValueError(f"{what} (h={h})")
+
+
 class Family(str, Enum):
     zero = "zero"
     bump = "bump"
@@ -152,18 +166,10 @@ class GridSpec:
         return max(lo, 0), min(hi, self.n_x - 1)
 
     def index_of_x(self, x: float) -> int:
-        i = (x - self.x_min) / self.h
-        j = int(round(i))
-        if abs(i - j) > ALIGN_TOL * max(1.0, abs(i)) + ALIGN_TOL:
-            raise ValueError(f"x={x} is not a lattice node (h={self.h})")
-        return j
+        return lattice_index(x - self.x_min, self.h, f"x={x} is not a lattice node")
 
     def index_of_t(self, t: float) -> int:
-        n = t / self.h
-        m = int(round(n))
-        if abs(n - m) > ALIGN_TOL * max(1.0, abs(n)) + ALIGN_TOL:
-            raise ValueError(f"t={t} is not a lattice level (h={self.h})")
-        return m
+        return lattice_index(t, self.h, f"t={t} is not a lattice level")
 
 
 @dataclass

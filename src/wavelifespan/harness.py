@@ -116,8 +116,7 @@ def sweep(
     if len(ladder) == 0:
         raise ValueError("empty epsilon ladder")
     require_valid(replace(params, epsilon=0.0), data, grid)  # per-rung epsilons govern
-    regime = theory.classify_regime(params.p, params.a, params.b)
-    if regime.kind is RegimeKind.global_:
+    if theory.classify_regime(params.p, params.a, params.b).kind is RegimeKind.global_:
         raise ValueError(
             "blow-up sweep rejected: (p, a, b) lies in the global case "
             "a > 0 and p(1+a)+b > 0 of the lifespan table"
@@ -126,13 +125,13 @@ def sweep(
         raise ValueError("blow-up sweeps require f = 0 and a positive bump g")
 
     ladder = sorted(float(e) for e in ladder)
+    exponential, _ = theory.lifespan_rate(params.p, params.a, params.b)
 
     def run_one(eps: float) -> SweepEntry:
         pe = ModelParams(params.p, params.a, params.b, eps, params.R)
         predicted = theory.lifespan_bound(params.p, params.a, params.b, eps, 1.0)
-        if regime.kind in (RegimeKind.exp_p_minus_1, RegimeKind.exp_p_p_minus_1):
-            if predicted > EXP_REACH * params.R:
-                return SweepEntry(eps, None, None, False, error="out_of_numerical_reach")
+        if exponential and predicted > EXP_REACH * params.R:
+            return SweepEntry(eps, None, None, False, error="out_of_numerical_reach")
         try:
             _, est_h = march(pe, data, grid, keep_field=False)
             fine = GridSpec(h=grid.h / 2.0, t_max=grid.t_max, pad=grid.pad)
@@ -159,7 +158,8 @@ def fit_exponent(
 
     power: log T on log eps (slope estimates minus the lifespan exponent).
     exponential: log T on eps^-rate (slope estimates the constant in the
-    exponential lifespan law; pass rate = p-1 or p(p-1) per regime).
+    exponential lifespan law; pass the regime's rate from
+    theory.lifespan_rate, p-1 or p(p-1)).
     """
     pairs = [(e, T) for e, T in pairs if e > 0 and T > 0 and math.isfinite(T)]
     if len(pairs) < 3:
@@ -389,8 +389,8 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             result = sweep(params, data, grid, ladder, threads=args.threads)
             _emit(result.to_csv(), args.out)
             if args.fit:
-                pairs = result.blowup_pairs()
-                report = fit_exponent(pairs, mode=args.fit, rate=args.p - 1.0)
+                _, rate = theory.lifespan_rate(args.p, args.a, args.b)
+                report = fit_exponent(result.blowup_pairs(), mode=args.fit, rate=rate)
                 print(
                     f"fit mode={report.mode} slope={report.slope:.4f} "
                     f"r2={report.r2:.4f} n={report.n_points}"

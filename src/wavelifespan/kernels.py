@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ALIGN_TOL, GridSpec, InitialData, ModelParams
+from .core import GridSpec, InitialData, ModelParams, lattice_index
 
 
 def bracket(x):
@@ -144,14 +144,6 @@ def weight_w(x, t, params: ModelParams):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_lattice(value: float, h: float, name: str) -> int:
-    ratio = value / h
-    k = int(round(ratio))
-    if abs(ratio - k) > ALIGN_TOL * max(1.0, abs(ratio)) + ALIGN_TOL:
-        raise ValueError(f"{name}={value} is not on the lattice with step h={h}")
-    return k
-
-
 def duhamel_Lprime(F: Callable, x: float, t: float, params: ModelParams, h: float) -> float:
     """Trapezoid value of the characteristic Duhamel operator applied to F.
 
@@ -159,8 +151,8 @@ def duhamel_Lprime(F: Callable, x: float, t: float, params: ModelParams, h: floa
     s = 0, h, ..., t.  F must be defined at every such node; a sampler that
     raises there is a contract violation surfacing as that exception.
     """
-    _check_lattice(x, h, "x")
-    n = _check_lattice(t, h, "t")
+    lattice_index(x, h, f"x={x} is not a lattice node")
+    n = lattice_index(t, h, f"t={t} is not a lattice level")
     if n == 0:
         return 0.0
     s = h * np.arange(n + 1)

@@ -259,6 +259,7 @@ def apriori_profiles(
     only on the block's columns where B is nonzero (the two d'Alembert bands
     |x -+ t| < R); picard_U2 weighs every node, since its L'U source is dense.
     """
+    require_valid(params, data, grid)
     if test_field not in ("free", "picard_U2"):
         raise ValueError(f"unknown test field {test_field!r}")
     acc = CharAccumulator(grid.n_x, grid.n_t, grid.h)  # L'(|B|^p)

@@ -35,43 +35,49 @@ def classify_regime(p: Number, a: Number, b: Number) -> Regime:
     raise ValueError(f"no lifespan case for p={p}, a={a}, b={b}")
 
 
+def lifespan_rate(p: float, a: float, b: float) -> tuple[bool, float]:
+    """(exponential, r) of the regime's lifespan law: exp(c eps^-r) with
+    r = p-1 or p(p-1) when exponential, else c eps^-r with the polynomial
+    exponent r.  Raises ValueError in the global regime."""
+    regime = classify_regime(p, a, b)
+    kind = regime.kind
+    if kind is RegimeKind.global_:
+        raise ValueError("global regime has no finite lifespan to invert")
+    if kind is RegimeKind.exp_p_minus_1:
+        return True, p - 1
+    if kind is RegimeKind.exp_p_p_minus_1:
+        return True, p * (p - 1)
+    return False, regime.exponent
+
+
 def lifespan_bound(p: float, a: float, b: float, epsilon: float, c: float) -> float:
     """Evaluate the regime's lifespan formula with constant c (inf if global
     or past the float range)."""
     if not (p > 1 and 0 < epsilon < math.inf and 0 < c < math.inf):
         raise ValueError("need p > 1 and finite epsilon > 0, c > 0")
-    regime = classify_regime(p, a, b)
-    kind = regime.kind
-    if kind is RegimeKind.global_:
+    if classify_regime(p, a, b).kind is RegimeKind.global_:
         return math.inf
+    exponential, r = lifespan_rate(p, a, b)
     try:
-        if kind is RegimeKind.exp_p_minus_1:
-            return math.exp(c * epsilon ** -(p - 1))
-        if kind is RegimeKind.exp_p_p_minus_1:
-            return math.exp(c * epsilon ** (-p * (p - 1)))
-        return c * epsilon ** (-regime.exponent)
+        power = epsilon ** -r
+        return math.exp(c * power) if exponential else c * power
     except OverflowError:  # a tiny epsilon overflows the power or the exp
         return math.inf
 
 
 def invert_lifespan_bound(p: float, a: float, b: float, T: float, c: float = 1.0) -> float:
     """epsilon with predicted lifespan T under the regime's formula."""
-    regime = classify_regime(p, a, b)
-    kind = regime.kind
-    if kind is RegimeKind.global_:
-        raise ValueError("global regime has no finite lifespan to invert")
-    if kind in (RegimeKind.exp_p_minus_1, RegimeKind.exp_p_p_minus_1) and not T > 1:
+    exponential, r = lifespan_rate(p, a, b)
+    if exponential and not T > 1:
         raise ValueError(
             "an exponential-regime lifespan exp(c*eps^-r) exceeds 1 for every eps > 0: "
             f"T={T:g} must exceed 1"
         )
     if not T > 0:
         raise ValueError(f"a lifespan is positive: T={T:g}")
-    if kind is RegimeKind.exp_p_minus_1:
-        return (c / math.log(T)) ** (1.0 / (p - 1))
-    if kind is RegimeKind.exp_p_p_minus_1:
-        return (c / math.log(T)) ** (1.0 / (p * (p - 1)))
-    return (T / c) ** (-1.0 / regime.exponent)
+    if exponential:
+        return (c / math.log(T)) ** (1.0 / r)
+    return (T / c) ** (-1.0 / r)
 
 
 def E_ab(T: float, p: Number, a: Number, b: Number, R: float) -> float:
@@ -121,10 +127,16 @@ def C1_constant(p: float, a: float, b: float) -> float:
     return C0_constant(a, b) ** (p + 1) * (p - 1) ** p
 
 
-def C2_constant(p: float, a: float, b: float) -> float:
+def _case2_q(p: float, a: float, b: float, who: str) -> float:
+    """q = -(p(1+a)+b), which Case 2 needs positive."""
     q = -(p * (1 + a) + b)
     if q <= 0:
-        raise ValueError("C2 requires p(1+a)+b < 0")
+        raise ValueError(f"{who} requires p(1+a)+b < 0")
+    return q
+
+
+def C2_constant(p: float, a: float, b: float) -> float:
+    q = _case2_q(p, a, b, "C2")
     return C1_constant(p, a, b) / (2 ** (p + 1) * q ** (p + 1))
 
 
@@ -167,6 +179,20 @@ def _check_in_D(x: float, t: float, R: float) -> None:
         raise ValueError("(x, t) must lie in the interior region t-|x| >= R, t+|x| >= R")
 
 
+def _K(lead: float, p: float, C: float, M1: float) -> float:
+    """lead/(p-1) + log C/(p^2-1) - S_p2(p) log p^{2p} + log M1, the form of
+    both threshold functions and their minorants."""
+    S = S_p2(p)  # first: it rejects p <= 1 before lead / (p - 1) divides by 0
+    return lead / (p - 1) + math.log(C) / (p**2 - 1) - S * math.log(p ** (2 * p)) + math.log(M1)
+
+
+def _con(lead: float, p: float, C: float, M: float) -> float:
+    """lead C^{1/(p+1)} p^{-2p S_p2(p) (p-1)} M^{p-1}, the form of both
+    blow-up conditions."""
+    S = S_p2(p)
+    return lead * C ** (1.0 / (p + 1)) * p ** (-2.0 * p * S * (p - 1)) * M ** (p - 1)
+
+
 def K1(x: float, t: float, params: ModelParams, M1: float, C1: Optional[float] = None) -> float:
     """Case p(1+a)+b = 0 threshold function; blow-up is forced where K1 > 0."""
     p, R = params.p, params.R
@@ -175,85 +201,41 @@ def K1(x: float, t: float, params: ModelParams, M1: float, C1: Optional[float] =
         raise ValueError("need 1+t-x > 1+R for the double logarithm")
     if C1 is None:
         C1 = C1_constant(p, params.a, params.b)
-    S = S_p2(p)
-    return (
-        math.log(math.log((1.0 + t - x) / (1.0 + R))) / (p - 1)
-        + math.log(C1) / (p**2 - 1)
-        - S * math.log(p ** (2 * p))
-        + math.log(M1)
-    )
+    return _K(math.log(math.log((1.0 + t - x) / (1.0 + R))), p, C1, M1)
 
 
 def K2(x: float, t: float, params: ModelParams, M1: float, C2: Optional[float] = None) -> float:
     """Case p(1+a)+b < 0 threshold function on the restricted region D_{a,b}."""
     p, a, b, R = params.p, params.a, params.b, params.R
-    q = -(p * (1 + a) + b)
-    if q <= 0:
-        raise ValueError("K2 requires p(1+a)+b < 0")
+    q = _case2_q(p, a, b, "K2")
     _check_in_D(x, t, R)
     if not 1.0 + t - x > 2.0 ** (1.0 / q) * (1.0 + R):
         raise ValueError("(x, t) outside D_{a,b}")
     if C2 is None:
         C2 = C2_constant(p, a, b)
-    S = S_p2(p)
-    return (
-        q * math.log(1.0 + t - x) / (p - 1)
-        + math.log(C2) / (p**2 - 1)
-        - S * math.log(p ** (2 * p))
-        + math.log(M1)
-    )
+    return _K(q * math.log(1.0 + t - x), p, C2, M1)
 
 
 def con1_lhs(t0: float, p: float, M1: float, C1: float) -> float:
     """Left-hand side of the Case 1 blow-up condition at (t0/2, t0)."""
-    S = S_p2(p)
-    return (
-        0.5
-        * math.log(t0)
-        * C1 ** (1.0 / (p + 1))
-        * p ** (-2.0 * p * S * (p - 1))
-        * M1 ** (p - 1)
-    )
+    return _con(0.5 * math.log(t0), p, C1, M1)
 
 
 def con2_lhs(t0: float, p: float, a: float, b: float, M1: float, C2: float) -> float:
     """Left-hand side of the Case 2 blow-up condition at (t0/2, t0)."""
-    q = -(p * (1 + a) + b)
-    if q <= 0:
-        raise ValueError("con2 requires p(1+a)+b < 0")
-    S = S_p2(p)
-    return (
-        2.0 ** (-q)
-        * t0**q
-        * C2 ** (1.0 / (p + 1))
-        * p ** (-2.0 * p * S * (p - 1))
-        * M1 ** (p - 1)
-    )
+    q = _case2_q(p, a, b, "con2")
+    return _con(2.0 ** (-q) * t0**q, p, C2, M1)
 
 
 def k1_minorant(t0: float, p: float, M1: float, C1: float) -> float:
     """K1 at (t0/2, t0) with the log factor replaced by its 2^-1 log(t0)
     minorant (valid for t0 > 4(1+R)^2); positive iff con1 holds."""
-    S = S_p2(p)
-    return (
-        math.log(0.5 * math.log(t0)) / (p - 1)
-        + math.log(C1) / (p**2 - 1)
-        - S * math.log(p ** (2 * p))
-        + math.log(M1)
-    )
+    return _K(math.log(0.5 * math.log(t0)), p, C1, M1)
 
 
 def k2_minorant(t0: float, p: float, a: float, b: float, M1: float, C2: float) -> float:
-    q = -(p * (1 + a) + b)
-    if q <= 0:
-        raise ValueError("requires p(1+a)+b < 0")
-    S = S_p2(p)
-    return (
-        math.log(2.0 ** (-q) * t0**q) / (p - 1)
-        + math.log(C2) / (p**2 - 1)
-        - S * math.log(p ** (2 * p))
-        + math.log(M1)
-    )
+    q = _case2_q(p, a, b, "k2_minorant")
+    return _K(math.log(2.0 ** (-q) * t0**q), p, C2, M1)
 
 
 def epsilon_thresholds(params: ModelParams, Cg: float, C1: float) -> tuple[float, Optional[float]]:
@@ -264,8 +246,7 @@ def epsilon_thresholds(params: ModelParams, Cg: float, C1: float) -> tuple[float
     p, a, b, R = params.p, params.a, params.b, params.R
     if Cg <= 0 or C1 <= 0:
         raise ValueError("Cg and C1 must be positive")
-    S = S_p2(p)
-    B = C1 ** (1.0 / (p + 1)) * p ** (-2.0 * p * S * (p - 1)) * Cg ** (p - 1)
+    B = _con(1.0, p, C1, Cg)
     eps3 = (2.0 * B * (1.0 + R) ** 2) ** (-1.0 / (p * (p - 1)))
     q = -(p * (1 + a) + b)
     eps4 = None

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from wavelifespan.core import (
     LifespanEstimate,
     ModelParams,
     Status,
+    lattice_index,
     load_config,
     validate,
 )
@@ -85,10 +87,17 @@ class TestGridSpec:
 
     def test_off_lattice_rejected(self):
         g = GridSpec(h=0.05, t_max=4.0, pad=1.0)
-        with pytest.raises(ValueError):
-            g.index_of_x(0.513)
-        with pytest.raises(ValueError):
-            g.index_of_t(0.026)
+        for x in (0.513, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="is not a lattice node"):
+                g.index_of_x(x)
+        for t in (0.026, math.inf, math.nan):
+            with pytest.raises(ValueError, match="is not a lattice level"):
+                g.index_of_t(t)
+
+    @pytest.mark.parametrize("h", [0.0, -0.05, math.inf, math.nan])
+    def test_lattice_index_rejects_a_bad_step(self, h):
+        with pytest.raises(ValueError, match=r"t=1\.0 is not a lattice level"):
+            lattice_index(1.0, h, "t=1.0 is not a lattice level")
 
 
 class TestValidate:

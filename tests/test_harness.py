@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import wavelifespan
-from wavelifespan.core import Family, GridSpec, InitialData, ModelParams
+from wavelifespan.core import Family, GridSpec, InitialData, LifespanEstimate, ModelParams, Status
 from wavelifespan.harness import (
+    SweepEntry,
+    SweepResult,
     apriori_csv,
     fit_exponent,
     make_epsilon_ladder,
@@ -232,6 +234,30 @@ class TestFreeNumerators:
             assert np.array_equal(profiles[2], ref)
         else:
             np.testing.assert_allclose(profiles[2], ref, rtol=1e-15, atol=0.0)
+
+
+class TestAprioriProfilesInput:
+    @pytest.mark.parametrize("test_field", ["free", "picard_U2"])
+    @pytest.mark.parametrize(
+        "params, data, message",
+        [
+            (
+                ModelParams(2.0, -0.5, 0.0, math.nan, 1.0),
+                InitialData(Family.bump, 0.0, 1.0, 1.0),
+                "epsilon must be finite",
+            ),
+            (
+                ModelParams(2.0, -0.5, 0.0, 0.01, 1.0),
+                InitialData(Family.bump, 0.0, 1.0, 2.0),
+                r"InitialData\.R must equal ModelParams\.R",
+            ),
+        ],
+        ids=["nan_epsilon", "mismatched_R"],
+    )
+    def test_invalid_input_is_rejected(self, params, data, message, test_field):
+        grid = GridSpec(h=0.1, t_max=5.0, pad=2.0)
+        with pytest.raises(ValueError, match=message):
+            apriori_profiles(params, data, grid, test_field)
 
 
 class TestVerifyApriori:
@@ -466,6 +492,27 @@ class TestCli:
         assert captured.out == ""
         assert message in captured.err
         assert calls == []
+
+    @pytest.mark.parametrize("a, b, rate", [("0.5", "-3", 2.0), ("0", "0", 1.0)])
+    def test_exponential_fit_takes_the_regime_rate(self, a, b, rate, capsys, monkeypatch):
+        # exp_p_p_minus_1 needs rate p(p-1) = 2, exp_p_minus_1 rate p-1 = 1
+        def blowup(T):
+            return LifespanEstimate(Status.blowup, T, 0.05)
+
+        lifespans = [(1.3, 184.0), (1.4, 60.0), (1.5, 26.0), (1.6, 15.0), (1.8, 7.5), (2.0, 4.2)]
+        result = SweepResult([SweepEntry(e, blowup(T), blowup(T), True) for e, T in lifespans])
+        monkeypatch.setattr("wavelifespan.harness.sweep", lambda *args, **kwargs: result)
+        rates = []
+
+        def spy(pairs, mode="power", rate=1.0):
+            rates.append((mode, rate))
+            return fit_exponent(pairs, mode, rate)
+
+        monkeypatch.setattr("wavelifespan.harness.fit_exponent", spy)
+        argv = ["sweep", "--p", "2", "--a", a, "--b", b, "--fit", "exponential"]
+        assert run_cli(argv) == 0
+        assert rates == [("exponential", rate)]
+        assert "fit mode=exponential" in capsys.readouterr().out
 
     def test_negative_blowup_seq_epsilon_exits_1(self, capsys):
         # eps^p is complex for eps < 0 and p = 2.5

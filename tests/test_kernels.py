@@ -190,10 +190,13 @@ class TestDuhamelLprime:
             )
 
     def test_off_lattice_rejected(self):
-        with pytest.raises(ValueError):
-            duhamel_Lprime(_const(1.0), 0.013, 1.0, ModelParams(2, 0, 0, 0.1), 0.05)
-        with pytest.raises(ValueError):
-            duhamel_Lprime(_const(1.0), 0.0, 1.003, ModelParams(2, 0, 0, 0.1), 0.05)
+        params = ModelParams(2, 0, 0, 0.1)
+        for x in (0.013, math.inf, math.nan):
+            with pytest.raises(ValueError, match="is not a lattice node"):
+                duhamel_Lprime(_const(1.0), x, 1.0, params, 0.05)
+        for t in (1.003, math.inf, math.nan):
+            with pytest.raises(ValueError, match="is not a lattice level"):
+                duhamel_Lprime(_const(1.0), 0.0, t, params, 0.05)
 
 
 class TestFieldSampler:

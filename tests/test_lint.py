@@ -3,7 +3,8 @@
 An import the module never reads fails unless its statement carries
 `# noqa: F401`; a module-level private function or class that nothing in
 its module references fails; so does importing a private name from another
-module.
+module; so does any module but core.py reading ALIGN_TOL, the tolerance of
+core.lattice_index, the one home of the lattice-alignment rule.
 """
 
 import ast
@@ -70,6 +71,19 @@ def private_imports(source: str) -> list:
     ]
 
 
+def align_tol_reads(source: str) -> list:
+    """Lines that import ALIGN_TOL or read it as a name or an attribute."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.ImportFrom) and any(a.name == "ALIGN_TOL" for a in node.names)
+            or isinstance(node, ast.Name) and node.id == "ALIGN_TOL"
+            or isinstance(node, ast.Attribute) and node.attr == "ALIGN_TOL"
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
@@ -85,6 +99,11 @@ def test_no_private_name_is_imported(path):
     assert private_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "core.py"], ids=lambda p: p.name)
+def test_only_core_reads_the_lattice_tolerance(path):
+    assert align_tol_reads(path.read_text()) == []
+
+
 def test_checks_flag_what_they_should():
     source = (
         "from typing import Optional, Sequence\n"
@@ -94,7 +113,13 @@ def test_checks_flag_what_they_should():
         "def _live(x: Optional[int]): return os.path\n"
         "_live(None)\n"
         "from .solver import _level_blocks, __doc__, march  # noqa: F401\n"
+        "from .core import ALIGN_TOL\n"
+        "tol = ALIGN_TOL\n"
+        "tol = core.ALIGN_TOL\n"
     )
     assert unused_imports(source) == ["line 1: Sequence"]
     assert unreferenced_private_defs(source) == ["line 4: _dead"]
     assert private_imports(source) == ["line 7: _level_blocks"]
+    assert align_tol_reads(source) == [8, 9, 10]
+    core = next(m for m in MODULES if m.name == "core.py")
+    assert align_tol_reads(core.read_text()) != []

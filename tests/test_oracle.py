@@ -10,11 +10,13 @@ from wavelifespan.core import (
     InitialData,
     LifespanEstimate,
     ModelParams,
+    RegimeKind,
     Status,
 )
 from wavelifespan.kernels import free_solution, nonlinear_weight
 from wavelifespan.oracle import LeapfrogResult, compare_fields, discrete_energy, leapfrog_solve
 from wavelifespan.solver import default_blow_threshold, march
+from wavelifespan.theory import classify_regime
 
 
 class TestLinearLimit:
@@ -81,6 +83,30 @@ class TestBlowupAgreement:
         _, est_l = leapfrog_solve(params, bump_data, dx=0.01, cfl=0.9, t_max=10.0)
         assert est_m.status is Status.blowup and est_l.status is Status.blowup
         assert abs(est_m.T_blow - est_l.T_blow) / est_l.T_blow < 0.10
+
+    @pytest.mark.parametrize(
+        "p, a, b, eps, kind",
+        [
+            (2.0, -0.5, 0.0, 0.9, RegimeKind.poly_a),
+            (2.0, -0.5, -3.0, 0.4, RegimeKind.poly_pab),
+            (2.0, 0.0, 0.0, 2.0, RegimeKind.exp_p_minus_1),
+            (2.0, 0.5, -3.0, 1.6, RegimeKind.exp_p_p_minus_1),
+        ],
+    )
+    def test_every_blowup_regime_meets_the_oracle(self, bump_data, p, a, b, eps, kind):
+        # march at h against the leapfrog at dx = h/5, within criterion 5's
+        # 10% bound at both resolutions, and closer at the finer pair
+        assert classify_regime(p, a, b).kind is kind
+        params = ModelParams(p, a, b, eps, 1.0)
+        gaps = []
+        for h, dx in ((0.05, 0.01), (0.025, 0.005)):
+            grid = GridSpec(h=h, t_max=40.0, pad=1.0)
+            _, est_m = march(params, bump_data, grid, keep_field=False)
+            _, est_l = leapfrog_solve(params, bump_data, dx=dx, cfl=0.9, t_max=40.0)
+            assert est_m.status is Status.blowup and est_l.status is Status.blowup
+            gaps.append(abs(est_m.T_blow - est_l.T_blow) / est_l.T_blow)
+        assert max(gaps) <= 0.10
+        assert gaps[1] < gaps[0]
 
 
 def compare_from_u_t_levels(char_field, leapfrog, window):

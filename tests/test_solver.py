@@ -511,6 +511,9 @@ class TestNormsAndReconstruction:
         field, _ = march(params, bump_data, GridSpec(h=0.1, t_max=6.0, pad=1.0))
         with pytest.raises(ValueError, match="negative"):
             weighted_sup_norm(field, params, -5.9)
+        for T in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="is not a lattice level"):
+                weighted_sup_norm(field, params, T)
 
     def test_weighted_norm_monotone_in_T(self, bump_data):
         params = ModelParams(2.0, 0.5, 0.0, 0.1, 1.0)
