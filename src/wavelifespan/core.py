@@ -44,8 +44,11 @@ class Status(str, Enum):
 
 
 class Cause(str, Enum):
+    """How a run stopped; LifespanEstimate.status follows from it."""
+
     threshold_exceeded = "threshold_exceeded"
-    fixed_point_diverged = "fixed_point_diverged"
+    no_root = "no_root"
+    inner_max_exhausted = "inner_max_exhausted"
 
 
 class RegimeKind(str, Enum):
@@ -191,14 +194,29 @@ class CharField:
         return self.levels
 
 
+def default_blow_threshold(params: ModelParams, data: InitialData) -> float:
+    """|u_t| past which a run has blown up: 1e6 times (1 + sup of the free data)."""
+    sup_free = params.epsilon * (data.sup_f_prime() + data.sup_g())
+    return 1e6 * (1.0 + sup_free)
+
+
 @dataclass
 class LifespanEstimate:
-    status: Status
+    """A run's verdict: cause is None when it reached its horizon."""
+
     T_blow: Optional[float]
     h: float
     sup_history: list = field(default_factory=list)
     cause: Optional[Cause] = None
     weighted_sup_history: Optional[list] = None
+
+    @property
+    def status(self) -> Status:
+        if self.cause is None:
+            return Status.survived
+        if self.cause is Cause.inner_max_exhausted:
+            return Status.inner_iteration_failed
+        return Status.blowup
 
     def to_json(self) -> str:
         return json.dumps(
@@ -240,8 +258,9 @@ def validate(params: ModelParams, data: InitialData, grid: Optional[GridSpec] = 
             out.append("h must be positive")
         else:
             for name, val in (("t_max", grid.t_max), ("t_max+pad", grid.t_max + grid.pad)):
-                ratio = val / grid.h
-                if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+                try:
+                    lattice_index(val, grid.h, name)
+                except ValueError:
                     out.append(f"{name} must be an integer multiple of h")
         if grid.pad < params.R:
             out.append("pad must be >= R")

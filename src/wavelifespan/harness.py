@@ -20,7 +20,6 @@ from .core import (
     LifespanEstimate,
     ModelParams,
     RegimeKind,
-    Status,
     load_config_file,
     require_valid,
     validate,
@@ -43,25 +42,16 @@ class SweepEntry:
     error: Optional[str] = None
 
     def blew_up(self) -> bool:
-        return self.est_h is not None and self.est_h.status in (
-            Status.blowup,
-            Status.inner_iteration_failed,
-        )
+        return self.est_h is not None and self.est_h.cause is not None
 
 
 @dataclass
 class SweepResult:
     entries: list
 
-    def blowup_pairs(self, use_fine: bool = True) -> list[tuple[float, float]]:
-        """(epsilon, T) pairs from resolved blow-up entries."""
-        out = []
-        for e in self.entries:
-            if e.blew_up() and e.resolved:
-                est = e.est_h2 if (use_fine and e.est_h2 is not None) else e.est_h
-                if est.T_blow is not None:
-                    out.append((e.epsilon, est.T_blow))
-        return out
+    def blowup_pairs(self) -> list[tuple[float, float]]:
+        """(epsilon, T at h/2) pairs from resolved blow-up entries."""
+        return [(e.epsilon, e.est_h2.T_blow) for e in self.entries if e.blew_up() and e.resolved]
 
     def to_csv(self) -> str:
         lines = ["epsilon,status,T_h,T_h2,resolved"]
@@ -385,6 +375,10 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             params = ModelParams(args.p, args.a, args.b, 0.0, args.R)
             data = InitialData(Family.bump, 0.0, args.amplitude_g, args.R)
             grid = GridSpec(h=args.h, t_max=args.tmax, pad=max(1.0, args.R))
+            if args.fit and args.n_eps < 3:
+                raise ValueError("--fit needs --n-eps >= 3")
+            if args.threads < 1:
+                raise ValueError("--threads must be >= 1")
             ladder = make_epsilon_ladder(args.p, args.a, args.b, args.t_lo, args.t_hi, args.n_eps)
             result = sweep(params, data, grid, ladder, threads=args.threads)
             _emit(result.to_csv(), args.out)

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Cause, InitialData, LifespanEstimate, ModelParams, Status, require_valid
+from .core import (
+    Cause, InitialData, LifespanEstimate, ModelParams, default_blow_threshold, require_valid
+)
 from .kernels import nonlinear_weight
-from .solver import default_blow_threshold
 
 
 @dataclass
@@ -119,7 +120,6 @@ def leapfrog_solve(
     store(0, u0)
     store(1, u1)
 
-    status = Status.survived
     cause = None
     T_blow = None
     n_done = 1
@@ -146,7 +146,6 @@ def leapfrog_solve(
             sup_ut = float(np.max(np.abs(ut)))
             sup_history.append(sup_ut)
             if not np.all(np.isfinite(unew)) or sup_ut > blow_threshold:
-                status = Status.blowup
                 cause = Cause.threshold_exceeded
                 T_blow = t - 0.5 * dt
                 break
@@ -161,9 +160,7 @@ def leapfrog_solve(
         values=values[: offsets[n_done + 1]], lo=lo[: n_done + 1],
         offsets=offsets[: n_done + 2], x=x, dx=dx, dt=dt,
     )
-    estimate = LifespanEstimate(
-        status=status, T_blow=T_blow, h=dt, sup_history=sup_history, cause=cause
-    )
+    estimate = LifespanEstimate(T_blow=T_blow, h=dt, sup_history=sup_history, cause=cause)
     return result, estimate
 
 

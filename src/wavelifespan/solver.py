@@ -28,7 +28,7 @@ from .core import (
     InitialData,
     LifespanEstimate,
     ModelParams,
-    Status,
+    default_blow_threshold,
     require_valid,
 )
 
@@ -45,11 +45,6 @@ INNER_TOL = 1e-12
 INNER_MAX = 50
 
 
-def default_blow_threshold(params: ModelParams, data: InitialData) -> float:
-    sup_free = params.epsilon * (data.sup_f_prime() + data.sup_g())
-    return 1e6 * (1.0 + sup_free)
-
-
 def _solve_level(
     base: np.ndarray,
     gamma: np.ndarray,
@@ -57,12 +52,13 @@ def _solve_level(
     inner_tol: float,
     inner_max: int,
     blow_threshold: float,
-) -> tuple[np.ndarray, str]:
-    """Solve z = base + gamma*|z|^p nodewise; returns (z, flag).
+) -> tuple[np.ndarray, Optional[Cause]]:
+    """Solve z = base + gamma*|z|^p nodewise; returns (z, cause).
 
-    flag: "ok" (every node resolved), "blowup" (some node has no finite
-    solution or escaped the threshold), "failed" (finite but unconverged
-    after inner_max Newton steps).
+    cause is None when every node resolved, no_root when some node is past
+    the fold, threshold_exceeded when |z| escaped blow_threshold or turned
+    non-finite, and inner_max_exhausted when z is finite but unconverged
+    after inner_max Newton steps.
 
     For base > 0 a root exists iff base <= z_m (1 - 1/p) with
     z_m = (p*gamma)^{-1/(p-1)}; crossing that fold is the blow-up test.
@@ -74,19 +70,19 @@ def _solve_level(
     with np.errstate(divide="ignore"):
         z_m = (p * gamma) ** (-1.0 / (p - 1.0))
     if np.any(base > z_m * (1.0 - 1.0 / p) * (1.0 + 1e-12)):
-        return base, "blowup"
+        return base, Cause.no_root
     z = base
     for _ in range(inner_max):
         az = np.abs(z)
         scale = np.max(az)
         if not np.isfinite(scale) or scale > blow_threshold:
-            return z, "blowup"
+            return z, Cause.threshold_exceeded
         gz = gamma * az ** (p - 1.0)
         phi = base + gz * az - z
         if np.all(np.abs(phi) <= inner_tol * np.maximum(az, 1.0)):
-            return z, "ok"
+            return z, None
         z = z - phi / (p * gz * np.sign(z) - 1.0)
-    return z, "failed"
+    return z, Cause.inner_max_exhausted
 
 
 def _masked_weighted_sup(U: np.ndarray, w: np.ndarray):
@@ -98,18 +94,16 @@ def march(
     params: ModelParams,
     data: InitialData,
     grid: GridSpec,
-    blow_threshold: Optional[float] = None,
     keep_field: bool = True,
     track_weighted_sup: bool = False,
 ) -> tuple[CharField, LifespanEstimate]:
     """March the integral equation level by level until blow-up or t_max.
 
     Newton solves each level to INNER_TOL within INNER_MAX steps; |U| past
-    blow_threshold (default_blow_threshold by default) is blow-up.
+    default_blow_threshold is blow-up.
     """
     require_valid(params, data, grid)
-    if blow_threshold is None:
-        blow_threshold = default_blow_threshold(params, data)
+    blow_threshold = default_blow_threshold(params, data)
 
     h, p, R = grid.h, params.p, params.R
     x = grid.x_nodes()
@@ -128,7 +122,6 @@ def march(
     if track_weighted_sup:
         wsup_history = [_masked_weighted_sup(U0, weight_w(xa, 0.0, params))]
 
-    status = Status.survived
     cause = None
     T_blow = None
     n_done = 0
@@ -140,14 +133,10 @@ def march(
             xa = x[lo : hi + 1]
             gamma = acc.c * nonlinear_weight(xa, t, params)
             plus, minus = acc.diagonals(n, lo, hi)
-            z, flag = _solve_level(plus + minus, gamma, p, INNER_TOL, INNER_MAX, blow_threshold)
+            z, cause = _solve_level(plus + minus, gamma, p, INNER_TOL, INNER_MAX, blow_threshold)
             sup_history.append(float(np.max(np.abs(z))))
-            if flag != "ok":
+            if cause is not None:
                 T_blow = t - 0.5 * h
-                if flag == "blowup":
-                    status, cause = Status.blowup, Cause.threshold_exceeded
-                else:
-                    status, cause = Status.inner_iteration_failed, Cause.fixed_point_diverged
                 break
 
             F = np.abs(z) ** p * gamma
@@ -159,11 +148,10 @@ def march(
                 wsup_history.append(_masked_weighted_sup(z, weight_w(xa, t, params)))
             n_done = n
 
-    if keep_field and status is not Status.survived:
+    if keep_field and cause is not None:
         levels = levels[: n_done + 1, :]  # drop the unresolved detection level
     field_out = CharField(grid=grid, levels=levels, n_levels_done=n_done)
     estimate = LifespanEstimate(
-        status=status,
         T_blow=T_blow,
         h=h,
         sup_history=sup_history,

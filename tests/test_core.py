@@ -6,6 +6,8 @@ import pytest
 from scipy.integrate import quad
 
 from wavelifespan.core import (
+    ALIGN_TOL,
+    Cause,
     Family,
     GridSpec,
     InitialData,
@@ -141,6 +143,22 @@ class TestValidate:
         bad_mult = GridSpec(h=0.07, t_max=10.0, pad=2.1)
         assert any("multiple of h" in m for m in validate(params, data, bad_mult))
 
+    @pytest.mark.parametrize("slack", [-2.0, -0.999, 0.999, 2.0])
+    def test_t_max_alignment_agrees_with_index_of_t(self, slack):
+        # t_max off the lattice by slack times lattice_index's tolerance at
+        # ratio 200; |slack| = 0.999 lies within it only by its absolute term
+        k, h = 200, 0.05
+        grid = GridSpec(h=h, t_max=(k + slack * ALIGN_TOL * (k + 1)) * h, pad=1.0)
+        params = ModelParams(2.0, 0.0, 0.0, 0.1, 1.0)
+        data = InitialData(Family.bump, 0.0, 1.0, 1.0)
+        flagged = "t_max must be an integer multiple of h" in validate(params, data, grid)
+        try:
+            grid.index_of_t(grid.t_max)
+            rejected = False
+        except ValueError:
+            rejected = True
+        assert flagged == rejected == (abs(slack) > 1)
+
 
 class TestConfig:
     def test_load_full_config(self):
@@ -178,8 +196,23 @@ class TestConfig:
         assert grid.h == 0.05
 
     def test_estimate_json(self):
-        est = LifespanEstimate(status=Status.survived, T_blow=None, h=0.05)
+        est = LifespanEstimate(T_blow=None, h=0.05)
         payload = json.loads(est.to_json())
         assert payload["status"] == "survived"
         assert payload["T_blow"] is None
         assert payload["cause"] is None
+
+    @pytest.mark.parametrize(
+        "cause, status",
+        [
+            (None, Status.survived),
+            (Cause.threshold_exceeded, Status.blowup),
+            (Cause.no_root, Status.blowup),
+            (Cause.inner_max_exhausted, Status.inner_iteration_failed),
+        ],
+    )
+    def test_status_follows_cause(self, cause, status):
+        est = LifespanEstimate(T_blow=None if cause is None else 1.0, h=0.05, cause=cause)
+        assert est.status is status
+        payload = json.loads(est.to_json())
+        assert (payload["status"], payload["cause"]) == (status.value, cause and cause.value)

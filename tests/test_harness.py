@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import wavelifespan
-from wavelifespan.core import Family, GridSpec, InitialData, LifespanEstimate, ModelParams, Status
+from wavelifespan.core import Cause, Family, GridSpec, InitialData, LifespanEstimate, ModelParams
 from wavelifespan.harness import (
     SweepEntry,
     SweepResult,
@@ -482,6 +482,23 @@ class TestCli:
         assert "must exceed 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n-eps", "2", "--fit", "power"], "--fit needs --n-eps >= 3"),
+            (["--threads", "-4"], "--threads must be >= 1"),
+            (["--threads", "0"], "--threads must be >= 1"),
+        ],
+    )
+    def test_bad_sweep_flags_exit_1_before_the_sweep(self, flags, message, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("wavelifespan.harness.sweep", lambda *args, **kwargs: calls.append(args))
+        assert run_cli(["sweep", "--a", "-0.5", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert calls == []
+
+    @pytest.mark.parametrize(
         "T, message", [(["-5", "10"], "finite and >= 0"), (["5.01", "10"], "not a lattice level")]
     )
     def test_bad_apriori_T_exits_1_before_the_pass(self, T, message, capsys, monkeypatch):
@@ -497,7 +514,7 @@ class TestCli:
     def test_exponential_fit_takes_the_regime_rate(self, a, b, rate, capsys, monkeypatch):
         # exp_p_p_minus_1 needs rate p(p-1) = 2, exp_p_minus_1 rate p-1 = 1
         def blowup(T):
-            return LifespanEstimate(Status.blowup, T, 0.05)
+            return LifespanEstimate(T, 0.05, cause=Cause.no_root)
 
         lifespans = [(1.3, 184.0), (1.4, 60.0), (1.5, 26.0), (1.6, 15.0), (1.8, 7.5), (2.0, 4.2)]
         result = SweepResult([SweepEntry(e, blowup(T), blowup(T), True) for e, T in lifespans])

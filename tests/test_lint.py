@@ -4,7 +4,8 @@ An import the module never reads fails unless its statement carries
 `# noqa: F401`; a module-level private function or class that nothing in
 its module references fails; so does importing a private name from another
 module; so does any module but core.py reading ALIGN_TOL, the tolerance of
-core.lattice_index, the one home of the lattice-alignment rule.
+core.lattice_index, the one home of the lattice-alignment rule; so does
+oracle.py importing from solver or harness, the code it exists to check.
 """
 
 import ast
@@ -84,6 +85,22 @@ def align_tol_reads(source: str) -> list:
     return sorted(lines)
 
 
+def checked_code_imports(source: str) -> list:
+    """Lines that import solver or harness, or a name from either."""
+    checked = {"solver", "harness"}
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        if any(checked & set(module.split(".")) for module in modules):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
@@ -104,6 +121,11 @@ def test_only_core_reads_the_lattice_tolerance(path):
     assert align_tol_reads(path.read_text()) == []
 
 
+def test_oracle_imports_nothing_it_checks():
+    oracle = next(m for m in MODULES if m.name == "oracle.py")
+    assert checked_code_imports(oracle.read_text()) == []
+
+
 def test_checks_flag_what_they_should():
     source = (
         "from typing import Optional, Sequence\n"
@@ -116,10 +138,14 @@ def test_checks_flag_what_they_should():
         "from .core import ALIGN_TOL\n"
         "tol = ALIGN_TOL\n"
         "tol = core.ALIGN_TOL\n"
+        "from . import harness, kernels  # noqa: F401\n"
+        "import wavelifespan.solver  # noqa: F401\n"
+        "from .kernels import weight_w  # noqa: F401\n"
     )
     assert unused_imports(source) == ["line 1: Sequence"]
     assert unreferenced_private_defs(source) == ["line 4: _dead"]
     assert private_imports(source) == ["line 7: _level_blocks"]
     assert align_tol_reads(source) == [8, 9, 10]
+    assert checked_code_imports(source) == [7, 11, 12]
     core = next(m for m in MODULES if m.name == "core.py")
     assert align_tol_reads(core.read_text()) != []

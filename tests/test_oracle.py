@@ -12,10 +12,11 @@ from wavelifespan.core import (
     ModelParams,
     RegimeKind,
     Status,
+    default_blow_threshold,
 )
 from wavelifespan.kernels import free_solution, nonlinear_weight
 from wavelifespan.oracle import LeapfrogResult, compare_fields, discrete_energy, leapfrog_solve
-from wavelifespan.solver import default_blow_threshold, march
+from wavelifespan.solver import march
 from wavelifespan.theory import classify_regime
 
 
@@ -104,6 +105,7 @@ class TestBlowupAgreement:
             _, est_m = march(params, bump_data, grid, keep_field=False)
             _, est_l = leapfrog_solve(params, bump_data, dx=dx, cfl=0.9, t_max=40.0)
             assert est_m.status is Status.blowup and est_l.status is Status.blowup
+            assert est_m.cause is Cause.no_root and est_l.cause is Cause.threshold_exceeded
             gaps.append(abs(est_m.T_blow - est_l.T_blow) / est_l.T_blow)
         assert max(gaps) <= 0.10
         assert gaps[1] < gaps[0]
@@ -214,7 +216,7 @@ def dense_leapfrog(params, data, dx, cfl=0.9, t_max=10.0):
     u[1] = u[0] + dt * g0 + 0.5 * dt**2 * (u0_xx + src0)
     u[1, 0] = u[1, -1] = 0.0
 
-    status, cause, T_blow, n_done = Status.survived, None, None, 1
+    cause, T_blow, n_done = None, None, 1
     sup_history = [float(np.max(np.abs(g0))), float(np.max(np.abs((u[1] - u[0]) / dt)))]
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_t):
@@ -234,7 +236,7 @@ def dense_leapfrog(params, data, dx, cfl=0.9, t_max=10.0):
             sup_ut = float(np.max(np.abs(ut)))
             sup_history.append(sup_ut)
             if not np.all(np.isfinite(unew)) or sup_ut > blow_threshold:
-                status, cause, T_blow = Status.blowup, Cause.threshold_exceeded, t - 0.5 * dt
+                cause, T_blow = Cause.threshold_exceeded, t - 0.5 * dt
                 break
             u[n + 1] = unew
             n_done = n + 1
@@ -244,7 +246,7 @@ def dense_leapfrog(params, data, dx, cfl=0.9, t_max=10.0):
         values=u.ravel(), lo=np.zeros(u.shape[0], dtype=int),
         offsets=x.size * np.arange(u.shape[0] + 1), x=x, dx=dx, dt=dt,
     )
-    estimate = LifespanEstimate(status=status, T_blow=T_blow, h=dt, sup_history=sup_history, cause=cause)
+    estimate = LifespanEstimate(T_blow=T_blow, h=dt, sup_history=sup_history, cause=cause)
     return u, result, estimate
 
 

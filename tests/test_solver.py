@@ -11,7 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wavelifespan
-from wavelifespan.core import Family, GridSpec, InitialData, ModelParams, RegimeKind, Status
+from wavelifespan import solver
+from wavelifespan.core import (
+    Cause,
+    Family,
+    GridSpec,
+    InitialData,
+    ModelParams,
+    RegimeKind,
+    Status,
+    default_blow_threshold,
+)
 from wavelifespan.kernels import (
     CharAccumulator,
     duhamel_Lprime,
@@ -22,7 +32,6 @@ from wavelifespan.kernels import (
 from wavelifespan.solver import (
     _solve_level,
     apply_duhamel_field,
-    default_blow_threshold,
     dump_field_csv,
     march,
     pde_residual,
@@ -58,25 +67,25 @@ class TestSolveLevel:
         # z = base + gamma z^2 has root (1 - sqrt(1-4*gamma*base)) / (2*gamma)
         base = np.array([0.1, 0.4, 0.7])
         gamma = np.array([0.3, 0.2, 0.05])
-        z, flag = _solve_level(base, gamma, 2.0, 1e-14, 50, 1e6)
+        z, cause = _solve_level(base, gamma, 2.0, 1e-14, 50, 1e6)
         exact = (1.0 - np.sqrt(1.0 - 4.0 * gamma * base)) / (2.0 * gamma)
-        assert flag == "ok"
+        assert cause is None
         assert np.allclose(z, exact, rtol=1e-12)
 
     def test_negative_base(self):
         # odd nonlinearity: |z|^p with z < 0 still has a unique small root
         base = np.array([-0.3])
         gamma = np.array([0.1])
-        z, flag = _solve_level(base, gamma, 2.0, 1e-14, 50, 1e6)
-        assert flag == "ok"
+        z, cause = _solve_level(base, gamma, 2.0, 1e-14, 50, 1e6)
+        assert cause is None
         assert z[0] == pytest.approx(base[0] + gamma[0] * z[0] ** 2, abs=1e-12)
 
     def test_past_the_fold_is_blowup(self):
         # for p=2 no root exists once base > 1/(4*gamma)
         base = np.array([2.0])
         gamma = np.array([0.2])
-        z, flag = _solve_level(base, gamma, 2.0, 1e-14, 50, 1e6)
-        assert flag == "blowup"
+        z, cause = _solve_level(base, gamma, 2.0, 1e-14, 50, 1e6)
+        assert cause is Cause.no_root
 
     def test_slow_root_near_fold_found(self):
         # base just below the fold, where the fixed-point map barely contracts:
@@ -84,8 +93,8 @@ class TestSolveLevel:
         gamma = np.array([0.25])
         cap = 1.0 / (4.0 * gamma[0])
         base = np.array([cap * 0.9999])
-        z, flag = _solve_level(base, gamma, 2.0, 1e-13, 50, 1e6)
-        assert flag == "ok"
+        z, cause = _solve_level(base, gamma, 2.0, 1e-13, 50, 1e6)
+        assert cause is None
         assert z[0] == pytest.approx(base[0] + gamma[0] * z[0] ** 2, rel=1e-10)
 
     @staticmethod
@@ -97,17 +106,17 @@ class TestSolveLevel:
         gamma = np.array([0.3, 0.05, 1.0, 0.2])
         cap = (p * gamma) ** (-1.0 / (p - 1.0)) * (1.0 - 1.0 / p)
         base = np.array([0.5, 0.9, 0.99, -2.0]) * np.where(np.arange(4) < 3, cap, 1.0)
-        z, flag = _solve_level(base, gamma, p, 1e-13, 50, 1e6)
-        assert flag == "ok"
+        z, cause = _solve_level(base, gamma, p, 1e-13, 50, 1e6)
+        assert cause is None
         assert np.all(self._residual(z, base, gamma, p) <= 1e-12)
 
     def test_mixed_sign_base(self):
         # p = 2: the smallest root (1 - sqrt(1 - 4 gamma base)) / (2 gamma) for either sign
         base = np.array([-3.0, -0.5, -1e-8, 0.0, 1e-8, 0.3, 0.9])
         gamma = np.full(base.shape, 0.25)
-        z, flag = _solve_level(base, gamma, 2.0, 1e-14, 50, 1e6)
+        z, cause = _solve_level(base, gamma, 2.0, 1e-14, 50, 1e6)
         exact = (1.0 - np.sqrt(1.0 - 4.0 * gamma * base)) / (2.0 * gamma)
-        assert flag == "ok"
+        assert cause is None
         assert np.allclose(z, exact, rtol=1e-12, atol=1e-15)
         assert np.all(np.sign(z) == np.sign(base))
 
@@ -116,8 +125,8 @@ class TestSolveLevel:
         base = np.array([900.0, 1e-3])
         gamma = np.array([1e-4, 0.3])
         tol = 1e-14
-        z, flag = _solve_level(base, gamma, 2.0, tol, 50, 1e6)
-        assert flag == "ok"
+        z, cause = _solve_level(base, gamma, 2.0, tol, 50, 1e6)
+        assert cause is None
         assert z[0] > 900.0 and z[1] < 2e-3
         resid = np.abs(base + gamma * z**2 - z)
         assert resid[0] <= tol * abs(z[0])
@@ -127,24 +136,24 @@ class TestSolveLevel:
     def test_fold_edge(self, p):
         gamma = np.array([0.25])
         cap = (p * gamma) ** (-1.0 / (p - 1.0)) * (1.0 - 1.0 / p)
-        z, flag = _solve_level(cap * (1.0 - 1e-9), gamma, p, 1e-12, 50, 1e6)
-        assert flag == "ok"
+        z, cause = _solve_level(cap * (1.0 - 1e-9), gamma, p, 1e-12, 50, 1e6)
+        assert cause is None
         assert self._residual(z, cap * (1.0 - 1e-9), gamma, p)[0] <= 1e-12
-        _, flag = _solve_level(cap * (1.0 + 1e-9), gamma, p, 1e-12, 50, 1e6)
-        assert flag == "blowup"
+        _, cause = _solve_level(cap * (1.0 + 1e-9), gamma, p, 1e-12, 50, 1e6)
+        assert cause is Cause.no_root
 
     def test_threshold_and_non_finite_are_blowup(self):
         gamma = np.array([1e-9])
-        _, flag = _solve_level(np.array([5e3]), gamma, 2.0, 1e-12, 50, 1e3)
-        assert flag == "blowup"
-        _, flag = _solve_level(np.array([0.1, np.nan]), np.array([0.1, 0.1]), 2.0, 1e-12, 50, 1e6)
-        assert flag == "blowup"
+        _, cause = _solve_level(np.array([5e3]), gamma, 2.0, 1e-12, 50, 1e3)
+        assert cause is Cause.threshold_exceeded
+        _, cause = _solve_level(np.array([0.1, np.nan]), np.array([0.1, 0.1]), 2.0, 1e-12, 50, 1e6)
+        assert cause is Cause.threshold_exceeded
 
     def test_exhausted_inner_max_is_failed(self):
         # near the fold Newton needs more than two steps
         gamma = np.array([0.25])
-        _, flag = _solve_level(np.array([0.999]), gamma, 2.0, 1e-14, 2, 1e6)
-        assert flag == "failed"
+        _, cause = _solve_level(np.array([0.999]), gamma, 2.0, 1e-14, 2, 1e6)
+        assert cause is Cause.inner_max_exhausted
 
 
 class TestGoldenLifespan:
@@ -333,12 +342,13 @@ class TestBlowup:
         assert est.cause is not None
         assert 5.0 < est.T_blow < 8.0
 
-    def test_threshold_insensitivity(self, bump_data):
+    def test_threshold_insensitivity(self, bump_data, monkeypatch):
         params = ModelParams(2.0, -1.0, -1.0, 0.5, 1.0)
         grid = GridSpec(h=0.05, t_max=10.0, pad=1.0)
         times = []
         for thresh in (1e4, 1e6, 1e8):
-            _, est = march(params, bump_data, grid, blow_threshold=thresh, keep_field=False)
+            monkeypatch.setattr(solver, "default_blow_threshold", lambda *args, t=thresh: t)
+            _, est = march(params, bump_data, grid, keep_field=False)
             assert est.status is Status.blowup
             times.append(est.T_blow)
         assert max(times) - min(times) <= 2 * grid.h
