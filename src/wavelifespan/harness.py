@@ -149,12 +149,15 @@ def fit_exponent(
     power: log T on log eps (slope estimates minus the lifespan exponent).
     exponential: log T on eps^-rate (slope estimates the constant in the
     exponential lifespan law; pass the regime's rate from
-    theory.lifespan_rate, p-1 or p(p-1)).
+    theory.lifespan_rate, p-1 or p(p-1)).  ValueError unless there are
+    3 valid pairs and 2 distinct epsilon among them.
     """
     pairs = [(e, T) for e, T in pairs if e > 0 and T > 0 and math.isfinite(T)]
     if len(pairs) < 3:
         raise ValueError("need at least 3 valid (epsilon, T) pairs")
     eps = np.array([e for e, _ in pairs])
+    if np.unique(eps).size < 2:
+        raise ValueError("need at least 2 distinct epsilon values")
     T = np.array([t for _, t in pairs])
     if mode == "power":
         X = np.log(eps)

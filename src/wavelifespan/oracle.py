@@ -7,55 +7,110 @@ difference, and the grid is a standard finite-difference grid with
 dt = cfl * dx.
 
 The data vanish outside |x| <= R and the stencil reaches one node per
-step, so each level is updated and stored only on the nodes it can reach:
-one flat buffer holds the levels back to back (LeapfrogResult), and
-LeapfrogResult.level rebuilds a whole row.
+step, so each level is updated only on the nodes it can reach.  No level
+is stored: leapfrog_solve runs the three-level step of _levels to its
+verdict, and LeapfrogResult keeps only what replays it.  Consumers replay
+the same step, so they read the values the run computed, in O(n_x) memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
 from .core import (
-    Cause, InitialData, LifespanEstimate, ModelParams, default_blow_threshold, require_valid
+    Cause, InitialData, LifespanEstimate, ModelParams, default_blow_threshold, lattice_index,
+    require_valid,
 )
 from .kernels import nonlinear_weight
 
 
+def _levels(params: ModelParams, data: InitialData, x: np.ndarray, dx: float, dt: float):
+    """The three-level scheme on nodes x, level by level without end.
+
+    Yields (u, ut, new) for levels 0, 1, 2, ...: u is the whole row of the
+    level, overwritten when the level three after it is computed; ut is the
+    u_t sample its source came from (eps*g on level 0, the forward
+    difference on level 1, the lagged centered difference on the level's
+    reach after that); new is u on the nodes the level updated.  f and g
+    vanish outside |x| <= data.R, so level 1 is nonzero only on that support
+    widened by one node and each later level by one node more, clamped to
+    the interior of the Dirichlet domain; u is exactly 0 elsewhere.
+    """
+    eps, p = params.epsilon, params.p
+    lam2 = (dt / dx) ** 2
+    support = np.flatnonzero(np.abs(x) <= data.R)
+
+    u0 = eps * data.f(x)
+    g0 = eps * data.g(x)
+    u0_xx = np.zeros_like(x)
+    u0_xx[1:-1] = (u0[2:] - 2.0 * u0[1:-1] + u0[:-2]) / dx**2
+    src0 = np.abs(g0) ** p * nonlinear_weight(x, 0.0, params)
+    u1 = u0 + dt * g0 + 0.5 * dt**2 * (u0_xx + src0)
+    u1[0] = u1[-1] = 0.0
+    yield u0, g0, u0
+    yield u1, (u1 - u0) / dt, u1
+
+    # whole rows of levels n-2, n-1 and n; each is 0 outside its reach
+    older, prev, cur = np.zeros_like(x), u0, u1
+    for n in count(1):
+        t = n * dt
+        a = max(support[0] - 1 - n, 1)  # reach of level n + 1
+        b = min(support[-1] + 1 + n, x.size - 2) + 1
+        # lagged centered difference keeps the source explicit
+        if n >= 2:
+            ut = (cur[a:b] - older[a:b]) / (2.0 * dt)
+        else:
+            ut = (cur[a:b] - prev[a:b]) / dt
+        src = np.abs(ut) ** p * nonlinear_weight(x[a:b], t, params)
+        # the reach of level n - 2 lies inside that of n + 1, so the write
+        # below replaces every nonzero node of the reused row
+        older[a:b] = (
+            2.0 * cur[a:b]
+            - prev[a:b]
+            + lam2 * (cur[a + 1 : b + 1] - 2.0 * cur[a:b] + cur[a - 1 : b - 1])
+            + dt**2 * src
+        )
+        older, prev, cur = prev, cur, older
+        yield cur, ut, cur[a:b]
+
+
 @dataclass
 class LeapfrogResult:
-    """Leapfrog levels 0..n_levels-1, each stored on the nodes it can reach.
+    """What replays leapfrog levels 0..n_levels-1 of one run.
 
-    Level n holds u at nodes lo[n] .. lo[n] + offsets[n+1] - offsets[n] - 1
-    in values[offsets[n] : offsets[n+1]]; u is 0 at every other node.
+    No level is stored: level, u, discrete_energy and compare_fields replay
+    the run's three-level step from params and data, bitwise the values the
+    run computed, holding a few rows at a time.
     """
 
-    values: np.ndarray
-    lo: np.ndarray  # (n_levels,)
-    offsets: np.ndarray  # (n_levels + 1,)
+    params: ModelParams
+    data: InitialData
+    n_levels: int
     x: np.ndarray
     dx: float
     dt: float
 
-    @property
-    def n_levels(self) -> int:
-        return self.lo.size
+    def _rows(self):
+        """Whole rows of levels 0..n_levels-1, each overwritten three levels later."""
+        levels = _levels(self.params, self.data, self.x, self.dx, self.dt)
+        return islice((u for u, _, _ in levels), self.n_levels)
 
     def level(self, n: int) -> np.ndarray:
         """u at every node of level n."""
         if not 0 <= n < self.n_levels:
             raise IndexError(f"level {n} outside 0..{self.n_levels - 1}")
-        row = np.zeros_like(self.x)
-        a, b = self.offsets[n], self.offsets[n + 1]
-        row[self.lo[n] : self.lo[n] + b - a] = self.values[a:b]
-        return row
+        return next(islice(self._rows(), n, None)).copy()
 
     @property
     def u(self) -> np.ndarray:
         """u at every node of every level, as a (n_levels, n_x) array."""
-        return np.stack([self.level(n) for n in range(self.n_levels)])
+        u = np.empty((self.n_levels, self.x.size))
+        for n, row in enumerate(self._rows()):
+            u[n] = row
+        return u
 
     def u_t_levels(self) -> tuple[np.ndarray, np.ndarray]:
         """Centered-difference u_t at interior time levels; returns (times, u_t)."""
@@ -77,11 +132,9 @@ def leapfrog_solve(
 ) -> tuple[LeapfrogResult, LifespanEstimate]:
     """Three-level explicit scheme for the weighted wave equation.
 
-    f and g vanish outside |x| <= data.R, so level 1 is nonzero only on that
-    support widened by one node, and each later level by one node more.
-    Levels are updated and stored on that reach, clamped to the interior
-    of the Dirichlet domain; u is exactly 0 elsewhere.  A level blows up
-    when it is not finite or sup |u_t| exceeds default_blow_threshold.
+    Steps _levels up to t_max.  A level from 2 on blows up when it is not
+    finite on the nodes it updated or the sup |u_t| its source came from
+    exceeds default_blow_threshold; the run then ends on the level before.
     """
     require_valid(params, data)
     if not (0 < cfl <= 1):
@@ -92,74 +145,27 @@ def leapfrog_solve(
         raise ValueError("t_max must be positive and finite")
     blow_threshold = default_blow_threshold(params, data)
 
-    eps, p = params.epsilon, params.p
     L = t_max + params.R + 1.0
     n_side = int(np.ceil(L / dx))
     x = dx * np.arange(-n_side, n_side + 1)
     dt = cfl * dx
     n_t = int(np.ceil(t_max / dt))
-    lam2 = (dt / dx) ** 2
-
-    support = np.flatnonzero(np.abs(x) <= data.R)
-    grow = np.maximum(np.arange(n_t + 1) - 1, 0)
-    lo = np.maximum(support[0] - 1 - grow, 1)
-    hi = np.minimum(support[-1] + 1 + grow, x.size - 2)
-    offsets = np.concatenate(([0], np.cumsum(hi - lo + 1)))
-    values = np.empty(offsets[-1])
-
-    def store(n, row):
-        values[offsets[n] : offsets[n + 1]] = row[lo[n] : hi[n] + 1]
-
-    u0 = eps * data.f(x)
-    g0 = eps * data.g(x)
-    u0_xx = np.zeros_like(x)
-    u0_xx[1:-1] = (u0[2:] - 2.0 * u0[1:-1] + u0[:-2]) / dx**2
-    src0 = np.abs(g0) ** p * nonlinear_weight(x, 0.0, params)
-    u1 = u0 + dt * g0 + 0.5 * dt**2 * (u0_xx + src0)
-    u1[0] = u1[-1] = 0.0
-    store(0, u0)
-    store(1, u1)
 
     cause = None
     T_blow = None
-    n_done = 1
-    sup_history = [float(np.max(np.abs(g0))), float(np.max(np.abs((u1 - u0) / dt)))]
-
-    # whole rows of levels n-2, n-1 and n; each is 0 outside its reach
-    older, prev, cur = np.zeros_like(x), u0, u1
+    sup_history = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_t):
-            t = n * dt
-            a, b = lo[n + 1], hi[n + 1] + 1  # reach of level n + 1
-            # lagged centered difference keeps the source explicit
-            if n >= 2:
-                ut = (cur[a:b] - older[a:b]) / (2.0 * dt)
-            else:
-                ut = (cur[a:b] - prev[a:b]) / dt
-            src = np.abs(ut) ** p * nonlinear_weight(x[a:b], t, params)
-            unew = (
-                2.0 * cur[a:b]
-                - prev[a:b]
-                + lam2 * (cur[a + 1 : b + 1] - 2.0 * cur[a:b] + cur[a - 1 : b - 1])
-                + dt**2 * src
-            )
+        for n, (_, ut, new) in enumerate(islice(_levels(params, data, x, dx, dt), n_t + 1)):
             sup_ut = float(np.max(np.abs(ut)))
             sup_history.append(sup_ut)
-            if not np.all(np.isfinite(unew)) or sup_ut > blow_threshold:
+            if n >= 2 and (not np.all(np.isfinite(new)) or sup_ut > blow_threshold):
                 cause = Cause.threshold_exceeded
+                t = (n - 1) * dt  # the step from level n - 1 failed
                 T_blow = t - 0.5 * dt
                 break
-            # the reach of level n - 2 lies inside that of n + 1, so the
-            # write below replaces every nonzero node of the reused row
-            older[a:b] = unew
-            older, prev, cur = prev, cur, older
-            store(n + 1, cur)
-            n_done = n + 1
 
-    result = LeapfrogResult(
-        values=values[: offsets[n_done + 1]], lo=lo[: n_done + 1],
-        offsets=offsets[: n_done + 2], x=x, dx=dx, dt=dt,
-    )
+    n_levels = len(sup_history) - (cause is not None)
+    result = LeapfrogResult(params=params, data=data, n_levels=n_levels, x=x, dx=dx, dt=dt)
     estimate = LifespanEstimate(T_blow=T_blow, h=dt, sup_history=sup_history, cause=cause)
     return result, estimate
 
@@ -168,8 +174,9 @@ def discrete_energy(result: LeapfrogResult, n: int) -> float:
     """(1/2) sum (u_t^2 + u_x^2) dx at time level n (centered differences)."""
     if not (1 <= n <= result.n_levels - 2):
         raise ValueError("level must be interior for the centered u_t")
-    ut = (result.level(n + 1) - result.level(n - 1)) / (2.0 * result.dt)
-    ux = np.gradient(result.level(n), result.dx)
+    before, here, after = islice(result._rows(), n - 1, n + 2)
+    ut = (after - before) / (2.0 * result.dt)
+    ux = np.gradient(here, result.dx)
     return float(0.5 * np.sum(ut**2 + ux**2) * result.dx)
 
 
@@ -181,10 +188,11 @@ def compare_fields(
     """sup over common nodes in the window of |u_t(march) - u_t(leapfrog)|.
 
     window = (x_lo, x_hi, t_lo, t_hi).  Leapfrog u_t is the centered time
-    difference, linearly interpolated in time onto the march levels; x nodes
-    are matched to the nearest leapfrog node (grids are commensurate by
-    construction).  The difference is taken only on the two bracketing
-    leapfrog levels and the matched columns, so no u_t array is built.
+    difference, linearly interpolated in time onto the march levels.  Every
+    march node must be a leapfrog node: ValueError unless h is a multiple of
+    the leapfrog dx and x_min a leapfrog node.  The leapfrog is replayed
+    once, up to the last level the window needs, keeping u only on the
+    matched columns of the last four levels replayed.
     """
     levels = char_field.stored_levels()
     x_lo, x_hi, t_lo, t_hi = window
@@ -194,6 +202,8 @@ def compare_fields(
     dt = leapfrog.dt
     if leapfrog.n_levels < 3:
         raise ValueError("too few levels for a centered difference")
+    lattice_index(grid.h, leapfrog.dx, f"march step {grid.h} is not a multiple of the leapfrog step")
+    lattice_index(grid.x_min, leapfrog.dx, f"march x_min={grid.x_min} is not a leapfrog node")
     times_l = dt * np.arange(1, leapfrog.n_levels - 1)  # times of the centered u_t levels
     xs = grid.x_nodes()
     xmask = (xs >= x_lo) & (xs <= x_hi)
@@ -203,15 +213,23 @@ def compare_fields(
     if np.any(ix_leap < 0) or np.any(ix_leap >= leapfrog.x.size):
         raise ValueError("window exceeds the leapfrog domain")
 
+    replay = enumerate(leapfrog._rows())
+    held = {}  # level -> u at the matched columns, for the last four levels replayed
+
     def centred_u_t(j):  # u_t of leapfrog level j + 1 at the matched columns
-        return (leapfrog.level(j + 2)[ix_leap] - leapfrog.level(j)[ix_leap]) / (2.0 * dt)
+        while j + 2 not in held:
+            m, row = next(replay)
+            held[m] = row[ix_leap]
+            held.pop(m - 4, None)
+        return (held[j + 2] - held[j]) / (2.0 * dt)
 
     worst = None
     for n in range(levels.shape[0]):
         t = n * grid.h
         if t < t_lo or t > t_hi or t < times_l[0] or t > times_l[-1]:
             continue
-        # bracketing u_t levels k and k1, both k when there is only one
+        # bracketing u_t levels k and k1, both k when there is only one; k
+        # never decreases with n, so the levels are replayed in order
         k = max(0, min(int((t - times_l[0]) / dt), len(times_l) - 2))
         k1 = min(k + 1, len(times_l) - 1)
         frac = (t - times_l[k]) / dt

@@ -243,9 +243,11 @@ def apriori_profiles(
     _level_blocks with its own CharAccumulator, so memory is O(n_x + n_t).
     Both test fields step L'(|B|^p) once: on the free field U = B, so it is
     both numerators and fills rows 1 and 2; on picard_U2 it is U.  The free
-    field's one source |B|^p carries |B|, so the nonlinear weight is taken
-    only on the block's columns where B is nonzero (the two d'Alembert bands
-    |x -+ t| < R); picard_U2 weighs every node, since its L'U source is dense.
+    field B and its one source |B|^p vanish off the block's columns where B
+    is nonzero (the two d'Alembert bands |x -+ t| < R), so that source and
+    B's sup are taken on those columns only, and where the block's w is
+    finite its sups need no mask; picard_U2 weighs every node, since its
+    L'U source is dense.
     """
     require_valid(params, data, grid)
     if test_field not in ("free", "picard_U2"):
@@ -257,21 +259,26 @@ def apriori_profiles(
     for n0, slices, xa, t, B in _level_blocks(params, data, grid, grid.n_t):
         rows = slice(n0, n0 + len(slices))
         w = weight_w(xa, t, params)
-        if test_field == "free":
-            # the source |B|^p carries |B|, so W = 0 off B's columns changes nothing
-            cols = np.any(B != 0.0, axis=0)
-            W = np.zeros_like(B)
-            W[:, cols] = nonlinear_weight(xa[cols], t, params)
-        else:
+        if test_field == "picard_U2":
             W = nonlinear_weight(xa, t, params)  # L'U is dense: so is its source
-        L = _explicit_block(acc, n0, slices, np.abs(B) ** params.p * W)
-        if test_field == "free":
-            out[0, rows] = _masked_weighted_sup(B, w)
-            out[1:, rows] = _masked_weighted_sup(L, w)
-        else:
+            L = _explicit_block(acc, n0, slices, np.abs(B) ** params.p * W)
             LU = _explicit_block(acc_LU, n0, slices, np.abs(L) ** params.p * W)
             LB = _explicit_block(acc_LB, n0, slices, np.abs(B) ** (params.p - 1) * np.abs(L) * W)
             out[:, rows] = [_masked_weighted_sup(V, w) for V in (L, LU, LB)]
+            continue
+        # B, its source |B|^p W and its weighted sup vanish off B's columns
+        cols = np.any(B != 0.0, axis=0)
+        absB = np.abs(B[:, cols])
+        source = np.zeros_like(B)
+        source[:, cols] = absB**params.p * nonlinear_weight(xa[cols], t, params)
+        L = _explicit_block(acc, n0, slices, source)
+        if np.max(w) < np.inf:
+            # R >= 1 keeps w >= 0, so w*0 is +0 and the sups need no mask
+            out[0, rows] = np.max(w[:, cols] * absB, axis=-1, initial=0.0)
+            out[1:, rows] = np.max(w * np.abs(L), axis=-1)
+        else:
+            out[0, rows] = _masked_weighted_sup(B, w)
+            out[1:, rows] = _masked_weighted_sup(L, w)
     return out
 
 

@@ -73,6 +73,14 @@ class TestFitExponent:
         with pytest.raises(ValueError):
             fit_exponent([(0.1, 5.0), (0.2, 3.0), (0.3, 2.0)], mode="cubic")
 
+    @pytest.mark.parametrize("mode", ["power", "exponential"])
+    def test_rejects_a_single_distinct_epsilon(self, mode):
+        # one epsilon repeated has no slope; polyfit would return one anyway
+        with pytest.raises(ValueError, match="2 distinct epsilon"):
+            fit_exponent([(0.1, 10.0), (0.1, 12.0), (0.1, 11.0)], mode=mode)
+        with pytest.raises(ValueError, match="2 distinct epsilon"):
+            fit_exponent([(0.1, 10.0), (0.1, 12.0), (0.2, math.inf), (0.1, 11.0)], mode=mode)
+
 
 class TestSweep:
     def test_rejects_global_regime(self, bump_data):

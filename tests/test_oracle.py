@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wavelifespan.core import (
     Cause,
+    CharField,
     Family,
     GridSpec,
     InitialData,
@@ -15,7 +17,7 @@ from wavelifespan.core import (
     default_blow_threshold,
 )
 from wavelifespan.kernels import free_solution, nonlinear_weight
-from wavelifespan.oracle import LeapfrogResult, compare_fields, discrete_energy, leapfrog_solve
+from wavelifespan.oracle import compare_fields, discrete_energy, leapfrog_solve
 from wavelifespan.solver import march
 from wavelifespan.theory import classify_regime
 
@@ -111,21 +113,22 @@ class TestBlowupAgreement:
         assert gaps[1] < gaps[0]
 
 
-def compare_from_u_t_levels(char_field, leapfrog, window):
-    """compare_fields computed from the whole centered-difference u_t array."""
+def compare_from_u_t_levels(char_field, u, x, dx, dt, window):
+    """compare_fields computed from the whole centered-difference u_t of a dense u."""
     x_lo, x_hi, t_lo, t_hi = window
     grid = char_field.grid
-    times_l, ut_l = leapfrog.u_t_levels()
+    times_l = dt * np.arange(1, u.shape[0] - 1)
+    ut_l = (u[2:, :] - u[:-2, :]) / (2.0 * dt)
     xs = grid.x_nodes()
     xmask = (xs >= x_lo) & (xs <= x_hi)
-    ix_leap = np.rint((xs[xmask] - leapfrog.x[0]) / leapfrog.dx).astype(int)
+    ix_leap = np.rint((xs[xmask] - x[0]) / dx).astype(int)
     worst = None
     for n in range(char_field.levels.shape[0]):
         t = n * grid.h
         if t < t_lo or t > t_hi or t < times_l[0] or t > times_l[-1]:
             continue
-        k = min(int((t - times_l[0]) / leapfrog.dt), len(times_l) - 2)
-        frac = (t - times_l[k]) / leapfrog.dt
+        k = min(int((t - times_l[0]) / dt), len(times_l) - 2)
+        frac = (t - times_l[k]) / dt
         ut_here = (1.0 - frac) * ut_l[k, ix_leap] + frac * ut_l[k + 1, ix_leap]
         diff = np.max(np.abs(char_field.levels[n, xmask] - ut_here))
         worst = diff if worst is None else max(worst, diff)
@@ -147,7 +150,8 @@ class TestCompareFields:
         data = InitialData(Family.bump, 0.0, 1.0, 1.0)
         field, _ = march(params, data, GridSpec(h=0.05, t_max=3.0, pad=1.0))
         result, _ = leapfrog_solve(params, data, dx=dx, cfl=cfl, t_max=t_lf)
-        assert compare_fields(field, result, window) == compare_from_u_t_levels(field, result, window)
+        reference = compare_from_u_t_levels(field, result.u, result.x, result.dx, result.dt, window)
+        assert compare_fields(field, result, window) == reference
 
     def test_linear_fields_agree(self, bump_data):
         params = ModelParams(2.0, 0.0, 0.0, 1e-4, 1.0)
@@ -166,6 +170,21 @@ class TestCompareFields:
             compare_fields(field, result, (1.0, -1.0, 0.0, 2.0))
         with pytest.raises(ValueError):
             compare_fields(field, result, (-1.0, 1.0, 50.0, 60.0))
+
+    def test_rejects_grids_whose_nodes_do_not_coincide(self):
+        params = ModelParams(2.0, -1.0, -1.0, 0.5, 1.0)
+        data = InitialData(Family.bump, 0.0, 1.0, 1.0)
+        field, _ = march(params, data, GridSpec(h=0.05, t_max=3.0, pad=1.0))
+        window = (-3.0, 3.0, 0.0, 3.0)
+        result, _ = leapfrog_solve(params, data, dx=0.03, cfl=0.9, t_max=3.0)
+        with pytest.raises(ValueError, match="march step 0.05 is not a multiple of the leapfrog step"):
+            compare_fields(field, result, window)
+        # h a multiple of dx, but every march node a third of dx off the leapfrog's
+        result, _ = leapfrog_solve(params, data, dx=0.01, cfl=0.9, t_max=3.0)
+        shifted = CharField(GridSpec(h=0.05, t_max=3.0, pad=1.0 + 0.01 / 3), field.levels)
+        with pytest.raises(ValueError, match="is not a leapfrog node"):
+            compare_fields(shifted, result, window)
+        assert compare_fields(field, result, window) < 0.05
 
     def test_rejects_fieldless_run(self, bump_data):
         params = ModelParams(2.0, 0.0, 0.0, 1e-4, 1.0)
@@ -197,7 +216,7 @@ class TestCompareFields:
 
 
 def dense_leapfrog(params, data, dx, cfl=0.9, t_max=10.0):
-    """leapfrog_solve updating and storing every node of every level."""
+    """leapfrog_solve updating and storing every node of every level; returns (u, estimate)."""
     blow_threshold = default_blow_threshold(params, data)
     eps, p = params.epsilon, params.p
     L = t_max + params.R + 1.0
@@ -240,14 +259,8 @@ def dense_leapfrog(params, data, dx, cfl=0.9, t_max=10.0):
                 break
             u[n + 1] = unew
             n_done = n + 1
-    u = u[: n_done + 1]
-    # every node of every level stored: the dense layout of a LeapfrogResult
-    result = LeapfrogResult(
-        values=u.ravel(), lo=np.zeros(u.shape[0], dtype=int),
-        offsets=x.size * np.arange(u.shape[0] + 1), x=x, dx=dx, dt=dt,
-    )
     estimate = LifespanEstimate(T_blow=T_blow, h=dt, sup_history=sup_history, cause=cause)
-    return u, result, estimate
+    return u[: n_done + 1], estimate
 
 
 def dense_energy(u, dx, dt, n):
@@ -256,7 +269,7 @@ def dense_energy(u, dx, dt, n):
     return float(0.5 * np.sum(ut**2 + ux**2) * dx)
 
 
-class TestReachLimitedStorage:
+class TestReplayedLevels:
     @pytest.mark.parametrize("family", [Family.bump, Family.bump_pair])
     @pytest.mark.parametrize("p", [2.0, 3.0])
     @pytest.mark.parametrize(
@@ -269,7 +282,7 @@ class TestReachLimitedStorage:
         params = ModelParams(p, -1.0, -1.0, eps, 1.01)
         data = InitialData(family, 0.7, 1.0, 1.01)
         result, est = leapfrog_solve(params, data, dx=0.02, cfl=0.9, t_max=t_max)
-        u_ref, dense, est_ref = dense_leapfrog(params, data, dx=0.02, cfl=0.9, t_max=t_max)
+        u_ref, est_ref = dense_leapfrog(params, data, dx=0.02, cfl=0.9, t_max=t_max)
         assert est.status is est_ref.status is status
         assert np.array_equal(result.u, u_ref)
         assert est.sup_history == est_ref.sup_history
@@ -277,27 +290,34 @@ class TestReachLimitedStorage:
         n_last = result.n_levels - 2
         for n in (1, n_last // 2, n_last):
             assert discrete_energy(result, n) == dense_energy(u_ref, result.dx, result.dt, n)
+        assert np.array_equal(result.level(n_last), u_ref[n_last])
         field, _ = march(params, data, GridSpec(h=0.1, t_max=t_max, pad=1.1))
         T = min(t_max, est.T_blow or t_max)
         window = (-(0.8 * T + 2.0), 0.8 * T + 2.0, 0.0, 0.8 * T)
-        assert compare_fields(field, result, window) == compare_from_u_t_levels(field, dense, window)
-        assert result.values.size < u_ref.size
+        reference = compare_from_u_t_levels(field, u_ref, result.x, result.dx, result.dt, window)
+        assert compare_fields(field, result, window) == reference
 
     def test_reach_clamped_at_both_dirichlet_ends(self, bump_data):
         params = ModelParams(2.0, 0.0, 0.0, 0.1, 1.0)
         result, est = leapfrog_solve(params, bump_data, dx=0.05, cfl=0.5, t_max=3.0)
-        u_ref, _, est_ref = dense_leapfrog(params, bump_data, dx=0.05, cfl=0.5, t_max=3.0)
+        u_ref, est_ref = dense_leapfrog(params, bump_data, dx=0.05, cfl=0.5, t_max=3.0)
         assert est.status is Status.survived
-        # the last level spans the whole interior: its reach hit both ends
-        n_last = result.n_levels - 1
-        width = result.offsets[n_last + 1] - result.offsets[n_last]
-        assert result.lo[n_last] == 1 and width == result.x.size - 2
+        # the last level is nonzero next to both Dirichlet ends: its reach hit both
+        assert u_ref[-1, 1] != 0.0 and u_ref[-1, -2] != 0.0
         assert np.array_equal(result.u, u_ref)
         assert est.sup_history == est_ref.sup_history
 
-    def test_criterion_5_run_stores_the_reachable_nodes_only(self, bump_data):
+    def test_criterion_5_run_and_comparison_hold_a_few_rows(self, bump_data):
         params = ModelParams(2.0, -1.0, -1.0, 0.5, 1.0)
-        result, est = leapfrog_solve(params, bump_data, dx=0.005, cfl=0.9, t_max=10.0)
+        field, est_m = march(params, bump_data, GridSpec(h=0.025, t_max=10.0, pad=1.0))
+        tracemalloc.start()
+        try:
+            result, est = leapfrog_solve(params, bump_data, dx=0.005, cfl=0.9, t_max=10.0)
+            T = min(est_m.T_blow, est.T_blow)
+            compare_fields(field, result, (-(0.8 * T + 2.0), 0.8 * T + 2.0, 0.0, 0.8 * T))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert est.status is Status.blowup
-        n_t = int(np.ceil(10.0 / result.dt))
-        assert result.values.size <= 0.55 * (n_t + 1) * result.x.size
+        # every stored level would take 1489 rows of 4801 nodes, about 57 MB
+        assert peak <= 2 * 2**20
