@@ -16,9 +16,21 @@ from .core import (
     load_config_file,
     validate,
 )
-from .solver import march, picard_iterate, pde_residual, reconstruct_u, weighted_sup_norm
+from .solver import PicardReport, march, picard_iterate, pde_residual, reconstruct_u
 from .oracle import compare_fields, leapfrog_solve
-from .theory import classify_regime, lifespan_bound, phase_diagram
+from .theory import (
+    K1,
+    K2,
+    a_n_closed_form,
+    classify_regime,
+    con1_lhs,
+    con2_lhs,
+    epsilon_thresholds,
+    k1_minorant,
+    k2_minorant,
+    lifespan_bound,
+    phase_diagram,
+)
 from .harness import fit_exponent, make_epsilon_ladder, run_cli, sweep, verify_apriori
 
 __all__ = [
@@ -27,14 +39,23 @@ __all__ = [
     "Family",
     "GridSpec",
     "InitialData",
+    "K1",
+    "K2",
     "LifespanEstimate",
     "ModelParams",
+    "PicardReport",
     "Regime",
     "RegimeKind",
     "Status",
+    "a_n_closed_form",
     "classify_regime",
     "compare_fields",
+    "con1_lhs",
+    "con2_lhs",
+    "epsilon_thresholds",
     "fit_exponent",
+    "k1_minorant",
+    "k2_minorant",
     "leapfrog_solve",
     "lifespan_bound",
     "load_config",
@@ -49,7 +70,6 @@ __all__ = [
     "sweep",
     "validate",
     "verify_apriori",
-    "weighted_sup_norm",
 ]
 
 __version__ = "0.1.0"

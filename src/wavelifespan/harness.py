@@ -4,6 +4,7 @@ a-priori ratio verification, and CSV/report emission."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -150,7 +151,8 @@ def fit_exponent(
     exponential: log T on eps^-rate (slope estimates the constant in the
     exponential lifespan law; pass the regime's rate from
     theory.lifespan_rate, p-1 or p(p-1)).  ValueError unless there are
-    3 valid pairs and 2 distinct epsilon among them.
+    3 valid pairs and 2 distinct epsilon among them, and, for exponential,
+    unless rate is finite and > 0 and every eps^-rate is finite.
     """
     pairs = [(e, T) for e, T in pairs if e > 0 and T > 0 and math.isfinite(T)]
     if len(pairs) < 3:
@@ -162,7 +164,12 @@ def fit_exponent(
     if mode == "power":
         X = np.log(eps)
     elif mode == "exponential":
-        X = eps ** (-rate)
+        if not 0 < rate < math.inf:
+            raise ValueError(f"the exponential fit needs a finite rate > 0, got rate={rate:g}")
+        with np.errstate(over="ignore"):
+            X = eps ** (-rate)
+        if not np.all(np.isfinite(X)):
+            raise ValueError(f"eps^-rate is not finite for eps={eps.min():g} at rate={rate:g}")
     else:
         raise ValueError(f"unknown fit mode {mode!r}")
     Y = np.log(T)
@@ -307,12 +314,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _open_out(out: Optional[str]):
+    """The --out file opened for writing, or stdout when there is none.
+
+    Commands open it before they compute, so an unwritable path exits 1 at once.
+    """
+    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
 
 
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
@@ -337,15 +344,16 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         if args.command == "phase-diagram":
-            rows = theory.phase_diagram(
-                args.p,
-                (args.a_min, args.a_max),
-                (args.b_min, args.b_max),
-                args.n_a,
-                args.n_b,
-                args.mode,
-            )
-            _emit(theory.phase_diagram_csv(rows), args.out)
+            with _open_out(args.out) as fh:
+                rows = theory.phase_diagram(
+                    args.p,
+                    (args.a_min, args.a_max),
+                    (args.b_min, args.b_max),
+                    args.n_a,
+                    args.n_b,
+                    args.mode,
+                )
+                fh.write(theory.phase_diagram_csv(rows))
             return 0
 
         if args.command == "blowup-seq":
@@ -368,9 +376,10 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             if problems:
                 print("; ".join(problems), file=sys.stderr)
                 return 1
-            field, est = march(params, data, grid, keep_field=bool(args.out))
-            if args.out:
-                dump_field_csv(field, args.out)
+            with _open_out(args.out) as fh:
+                field, est = march(params, data, grid, keep_field=bool(args.out))
+                if args.out:
+                    dump_field_csv(field, fh)
             print(est.to_json())
             return 0
 
@@ -383,8 +392,9 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             if args.threads < 1:
                 raise ValueError("--threads must be >= 1")
             ladder = make_epsilon_ladder(args.p, args.a, args.b, args.t_lo, args.t_hi, args.n_eps)
-            result = sweep(params, data, grid, ladder, threads=args.threads)
-            _emit(result.to_csv(), args.out)
+            with _open_out(args.out) as fh:
+                result = sweep(params, data, grid, ladder, threads=args.threads)
+                fh.write(result.to_csv())
             if args.fit:
                 _, rate = theory.lifespan_rate(args.p, args.a, args.b)
                 report = fit_exponent(result.blowup_pairs(), mode=args.fit, rate=rate)
@@ -397,8 +407,9 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "verify-apriori":
             params = ModelParams(args.p, args.a, args.b, args.eps, args.R)
             data = InitialData(Family.bump, 0.0, args.amplitude_g, args.R)
-            rows = verify_apriori(params, data, args.h, args.T, args.field)
-            _emit(apriori_csv(rows), args.out)
+            with _open_out(args.out) as fh:
+                rows = verify_apriori(params, data, args.h, args.T, args.field)
+                fh.write(apriori_csv(rows))
             return 0
     except (ValueError, OSError) as exc:  # malformed input, unreadable or unwritable file
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Pointwise weights, d'Alembert formulas, and trapezoid Duhamel operators.
+"""Pointwise weights, the free wave's u_t, and trapezoid Duhamel operators.
 
 The functions are pure; CharAccumulator carries the running sums of one
 pass over the levels, seeded with the free data eps*u_t0 when the pass
@@ -106,16 +106,6 @@ class CharAccumulator:
         plus += G
         minus += G
         return out
-
-
-def free_solution(x, t, data: InitialData, epsilon: float):
-    """d'Alembert value eps*u0(x,t); g-integral from the exact antiderivative."""
-    x = np.asarray(x, dtype=float)
-    out = epsilon * (
-        0.5 * (data.f(x + t) + data.f(x - t))
-        + 0.5 * (data.g_antiderivative(x + t) - data.g_antiderivative(x - t))
-    )
-    return float(out) if out.ndim == 0 else out
 
 
 def weight_w(x, t, params: ModelParams):

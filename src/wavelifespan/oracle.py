@@ -81,9 +81,9 @@ def _levels(params: ModelParams, data: InitialData, x: np.ndarray, dx: float, dt
 class LeapfrogResult:
     """What replays leapfrog levels 0..n_levels-1 of one run.
 
-    No level is stored: level, u, discrete_energy and compare_fields replay
-    the run's three-level step from params and data, bitwise the values the
-    run computed, holding a few rows at a time.
+    No level is stored: rows and compare_fields replay the run's three-level
+    step from params and data, bitwise the values the run computed, holding
+    a few rows at a time.
     """
 
     params: ModelParams
@@ -93,34 +93,13 @@ class LeapfrogResult:
     dx: float
     dt: float
 
-    def _rows(self):
-        """Whole rows of levels 0..n_levels-1, each overwritten three levels later."""
+    def rows(self):
+        """Whole rows of levels 0..n_levels-1, each overwritten three levels later.
+
+        A caller that keeps a row past the next three must copy it.
+        """
         levels = _levels(self.params, self.data, self.x, self.dx, self.dt)
         return islice((u for u, _, _ in levels), self.n_levels)
-
-    def level(self, n: int) -> np.ndarray:
-        """u at every node of level n."""
-        if not 0 <= n < self.n_levels:
-            raise IndexError(f"level {n} outside 0..{self.n_levels - 1}")
-        return next(islice(self._rows(), n, None)).copy()
-
-    @property
-    def u(self) -> np.ndarray:
-        """u at every node of every level, as a (n_levels, n_x) array."""
-        u = np.empty((self.n_levels, self.x.size))
-        for n, row in enumerate(self._rows()):
-            u[n] = row
-        return u
-
-    def u_t_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Centered-difference u_t at interior time levels; returns (times, u_t)."""
-        n = self.n_levels
-        if n < 3:
-            raise ValueError("too few levels for a centered difference")
-        u = self.u
-        ut = (u[2:, :] - u[:-2, :]) / (2.0 * self.dt)
-        times = self.dt * np.arange(1, n - 1)
-        return times, ut
 
 
 def leapfrog_solve(
@@ -170,16 +149,6 @@ def leapfrog_solve(
     return result, estimate
 
 
-def discrete_energy(result: LeapfrogResult, n: int) -> float:
-    """(1/2) sum (u_t^2 + u_x^2) dx at time level n (centered differences)."""
-    if not (1 <= n <= result.n_levels - 2):
-        raise ValueError("level must be interior for the centered u_t")
-    before, here, after = islice(result._rows(), n - 1, n + 2)
-    ut = (after - before) / (2.0 * result.dt)
-    ux = np.gradient(here, result.dx)
-    return float(0.5 * np.sum(ut**2 + ux**2) * result.dx)
-
-
 def compare_fields(
     char_field,
     leapfrog: LeapfrogResult,
@@ -213,7 +182,7 @@ def compare_fields(
     if np.any(ix_leap < 0) or np.any(ix_leap >= leapfrog.x.size):
         raise ValueError("window exceeds the leapfrog domain")
 
-    replay = enumerate(leapfrog._rows())
+    replay = enumerate(leapfrog.rows())
     held = {}  # level -> u at the matched columns, for the last four levels replayed
 
     def centred_u_t(j):  # u_t of leapfrog level j + 1 at the matched columns

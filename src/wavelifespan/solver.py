@@ -17,7 +17,7 @@ O(j_max (n_x + n_t)), and none when the sequence diverged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, TextIO
 
 import numpy as np
 
@@ -159,26 +159,6 @@ def march(
         weighted_sup_history=wsup_history,
     )
     return field_out, estimate
-
-
-def weighted_sup_norm(field: CharField, params: ModelParams, T: float) -> float:
-    """Lattice version of sup_{t<=T} |w(x,t) U(x,t)|.
-
-    Nodes where the weight is singular (a = 0 with t+|x|+R = 1) contribute
-    only through nonzero U; w * 0 is counted as 0.
-    """
-    levels = field.stored_levels()
-    grid = field.grid
-    n_T = grid.index_of_t(T)
-    if not 0 <= n_T < levels.shape[0]:
-        raise ValueError(f"T={T:g} is negative or exceeds the computed horizon")
-    x = grid.x_nodes()
-    best = 0.0
-    for n in range(n_T + 1):
-        lo, hi = grid.active_slice(n, params.R)
-        w = weight_w(x[lo : hi + 1], n * grid.h, params)
-        best = max(best, _masked_weighted_sup(levels[n, lo : hi + 1], w))
-    return best
 
 
 def apply_duhamel_field(source: np.ndarray, grid: GridSpec, params: ModelParams) -> np.ndarray:
@@ -368,13 +348,12 @@ def pde_residual(u: np.ndarray, field: CharField, params: ModelParams) -> float:
     return float(np.max(np.abs(res)))
 
 
-def dump_field_csv(field: CharField, path: str) -> None:
-    """CSV dump with header t,x,u_t in row-major time order."""
+def dump_field_csv(field: CharField, fh: TextIO) -> None:
+    """CSV dump to the text stream fh, header t,x,u_t, in row-major time order."""
     levels = field.stored_levels()
     grid = field.grid
     xs = [f"{x:.10g}" for x in grid.x_nodes()]
-    with open(path, "w") as fh:
-        fh.write("t,x,u_t\n")
-        for n, row in enumerate(levels):
-            t = f"{n * grid.h:.10g}"
-            fh.write("".join(f"{t},{x},{v:.17g}\n" for x, v in zip(xs, row.tolist())))
+    fh.write("t,x,u_t\n")
+    for n, row in enumerate(levels):
+        t = f"{n * grid.h:.10g}"
+        fh.write("".join(f"{t},{x},{v:.17g}\n" for x, v in zip(xs, row.tolist())))

@@ -72,6 +72,13 @@ class TestFitExponent:
             fit_exponent([(0.1, 5.0), (0.2, 3.0), (0.3, math.inf), (-1.0, 2.0)])
         with pytest.raises(ValueError):
             fit_exponent([(0.1, 5.0), (0.2, 3.0), (0.3, 2.0)], mode="cubic")
+        # rate 0 and NaN leave no slope to fit, a negative or infinite rate no
+        # exponential law, and rate 400 overflows 0.1^-rate
+        for rate in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite rate > 0"):
+                fit_exponent([(0.1, 5.0), (0.2, 3.0), (0.3, 2.0)], mode="exponential", rate=rate)
+        with pytest.raises(ValueError, match="not finite for eps=0.1 at rate=400"):
+            fit_exponent([(0.1, 5.0), (0.2, 3.0), (0.3, 2.0)], mode="exponential", rate=400.0)
 
     @pytest.mark.parametrize("mode", ["power", "exponential"])
     def test_rejects_a_single_distinct_epsilon(self, mode):
@@ -538,6 +545,30 @@ class TestCli:
         assert run_cli(argv) == 0
         assert rates == [("exponential", rate)]
         assert "fit mode=exponential" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, computes",
+        [
+            (["solve", "--a", "-0.5"], "wavelifespan.harness.march"),
+            (["sweep", "--a", "-0.5"], "wavelifespan.harness.march"),
+            (["verify-apriori", "--a", "-0.5"], "wavelifespan.harness.apriori_profiles"),
+            (["phase-diagram"], "wavelifespan.theory.phase_diagram"),
+        ],
+    )
+    def test_unwritable_out_exits_1_before_computing(self, argv, computes, tmp_path, capsys, monkeypatch):
+        # sweep records a failed march as an error entry, so count the calls
+        calls = []
+
+        def stub(*args, **kwargs):
+            calls.append(args)
+            return self.no_march(*args, **kwargs)
+
+        monkeypatch.setattr(computes, stub)
+        assert run_cli([*argv, "--out", str(tmp_path / "absent" / "out.csv")]) == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert calls == []
+        run_cli([*argv, "--out", str(tmp_path / "out.csv")])  # a writable --out reaches the stub
+        assert calls != []
 
     def test_negative_blowup_seq_epsilon_exits_1(self, capsys):
         # eps^p is complex for eps < 0 and p = 2.5

@@ -9,11 +9,12 @@ from wavelifespan.kernels import (
     bracket,
     duhamel_Lprime,
     field_sampler,
-    free_solution,
     free_solution_dt,
     nonlinear_weight,
     weight_w,
 )
+
+from references import free_solution
 
 
 class TestBracket:

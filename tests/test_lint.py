@@ -6,6 +6,13 @@ its module references fails; so does importing a private name from another
 module; so does any module but core.py reading ALIGN_TOL, the tolerance of
 core.lattice_index, the one home of the lattice-alignment rule; so does
 oracle.py importing from solver or harness, the code it exists to check.
+
+A public definition has a user: every public top-level function or class,
+and every public method of a class not in wavelifespan.__all__, is named by
+an identifier somewhere in src/ or bench/, by a string constant in bench/
+(the names the benchmark patches), or by __all__.  So src/ holds only what
+the CLI, the library API and the benchmark run; a reference that only the
+tests call belongs under tests/.
 """
 
 import ast
@@ -16,6 +23,7 @@ import pytest
 import wavelifespan
 
 MODULES = sorted(Path(wavelifespan.__file__).parent.glob("*.py"))
+BENCH = sorted((Path(wavelifespan.__file__).resolve().parents[2] / "bench").glob("*.py"))
 
 
 def names_read(tree: ast.Module) -> set:
@@ -59,6 +67,60 @@ def unreferenced_private_defs(source: str) -> list:
         and not node.name.startswith("__")
         and node.name not in read
     ]
+
+
+def public_defs(source: str, exported: set) -> list:
+    """(line, qualified name, name) of each public top-level function and class,
+    and of each public method of a top-level class not in exported."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, defs):
+            continue
+        if not node.name.startswith("_"):
+            out.append((node.lineno, node.name, node.name))
+        if isinstance(node, ast.ClassDef) and node.name not in exported:
+            out += [
+                (item.lineno, f"{node.name}.{item.name}", item.name)
+                for item in node.body
+                if isinstance(item, defs) and not item.name.startswith("_")
+            ]
+    return out
+
+
+def identifiers(source: str) -> set:
+    """Names the source reads, bare or as an attribute."""
+    tree = ast.parse(source)
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def string_constants(source: str) -> set:
+    return {
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def unused_public_defs(source: str, used: set, exported: set) -> list:
+    """Public definitions whose name is neither in used nor in exported."""
+    return [
+        f"line {line}: {qualname}"
+        for line, qualname, name in public_defs(source, exported)
+        if name not in used and name not in exported
+    ]
+
+
+def names_in_use() -> set:
+    """Identifiers of src/ and bench/, and the string constants of bench/."""
+    used = set()
+    for path in MODULES + BENCH:
+        used |= identifiers(path.read_text())
+    for path in BENCH:
+        used |= string_constants(path.read_text())
+    return used
 
 
 def private_imports(source: str) -> list:
@@ -112,6 +174,13 @@ def test_every_private_definition_is_referenced(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_definition_has_a_user(path):
+    assert BENCH, "the benchmark sources were not found next to src/"
+    exported = set(wavelifespan.__all__)
+    assert unused_public_defs(path.read_text(), names_in_use(), exported) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_name_is_imported(path):
     assert private_imports(path.read_text()) == []
 
@@ -141,11 +210,25 @@ def test_checks_flag_what_they_should():
         "from . import harness, kernels  # noqa: F401\n"
         "import wavelifespan.solver  # noqa: F401\n"
         "from .kernels import weight_w  # noqa: F401\n"
+        "class Kept:\n"
+        "    def shown(self): pass\n"
+        "class Hidden:\n"
+        "    def called(self): pass\n"
+        "    def orphan(self): pass\n"
+        "    def _private(self): pass\n"
+        "def exported(): pass\n"
+        "def patched(): pass\n"
+        "def orphan_fn(): pass\n"
     )
     assert unused_imports(source) == ["line 1: Sequence"]
     assert unreferenced_private_defs(source) == ["line 4: _dead"]
     assert private_imports(source) == ["line 7: _level_blocks"]
     assert align_tol_reads(source) == [8, 9, 10]
     assert checked_code_imports(source) == [7, 11, 12]
+    used = identifiers("Hidden().called()\n") | string_constants("patch(owner, 'patched')\n")
+    assert unused_public_defs(source, used, {"Kept", "exported"}) == [
+        "line 18: Hidden.orphan",
+        "line 22: orphan_fn",
+    ]
     core = next(m for m in MODULES if m.name == "core.py")
     assert align_tol_reads(core.read_text()) != []
