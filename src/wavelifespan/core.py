@@ -17,17 +17,24 @@ import numpy as np
 ALIGN_TOL = 1e-9
 
 
-def lattice_index(offset: float, h: float, what: str) -> int:
+def align_slack(size):
+    """ALIGN_TOL * (1 + |size|), the distance within which a coordinate of
+    magnitude size sits on a lattice point; plain arithmetic, so cheap on a float."""
+    return ALIGN_TOL * (1.0 + abs(size))
+
+
+def lattice_index(offset, h: float, what: str):
     """round(offset / h), the index of offset on the lattice of step h.
 
-    Raises ValueError "{what} (h=...)" unless h is positive and finite and
-    offset / h is a finite integer to within ALIGN_TOL.
+    An int, or an int array for an array offset.  Raises ValueError
+    "{what} (h=...)" unless h is positive and finite and every offset / h is
+    a finite integer to within align_slack.
     """
-    ratio = offset / h if 0 < h < math.inf else math.nan
-    if math.isfinite(ratio):
-        k = int(round(ratio))
-        if abs(ratio - k) <= ALIGN_TOL * max(1.0, abs(ratio)) + ALIGN_TOL:
-            return k
+    ratio = np.asarray(offset, dtype=float) / (h if 0 < h < math.inf else math.nan)
+    k = np.rint(ratio)
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN fails the test below
+        if np.all(np.abs(ratio - k) <= align_slack(ratio)):
+            return int(k) if k.ndim == 0 else k.astype(int)
     raise ValueError(f"{what} (h={h})")
 
 
@@ -162,17 +169,19 @@ class GridSpec:
         return self.x_min + self.h * np.arange(self.n_x)
 
     def active_slice(self, n: int, R: float) -> tuple[int, int]:
-        """Index range [lo, hi] of nodes with |x_i| <= t_n + R."""
-        t = n * self.h
-        lo = math.ceil((-(t + R) - self.x_min) / self.h - 1e-9)
-        hi = math.floor(((t + R) - self.x_min) / self.h + 1e-9)
-        return max(lo, 0), min(hi, self.n_x - 1)
+        """Index range [lo, hi] of nodes with |x_i| <= t_n + R, clamped to the grid:
+        the centre +- (n + the whole steps of h in R, to within align_slack)."""
+        half = n + math.floor(R / self.h + align_slack(R / self.h))
+        centre = (self.n_x - 1) // 2
+        return max(centre - half, 0), min(centre + half, 2 * centre)
 
-    def index_of_x(self, x: float) -> int:
-        return lattice_index(x - self.x_min, self.h, f"x={x} is not a lattice node")
+    def index_of_x(self, x):
+        shown = x if np.ndim(x) == 0 else "[...]"  # an array's repr is slow
+        return lattice_index(np.subtract(x, self.x_min), self.h, f"x={shown} is not a lattice node")
 
-    def index_of_t(self, t: float) -> int:
-        return lattice_index(t, self.h, f"t={t} is not a lattice level")
+    def index_of_t(self, t):
+        shown = t if np.ndim(t) == 0 else "[...]"
+        return lattice_index(t, self.h, f"t={shown} is not a lattice level")
 
 
 @dataclass

@@ -23,7 +23,6 @@ from .core import (
     RegimeKind,
     load_config_file,
     require_valid,
-    validate,
 )
 # free_solution_dt and apply_duhamel_field stay bound here because the
 # benchmark wraps them at these names
@@ -372,10 +371,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
                 params = ModelParams(args.p, args.a, args.b, args.eps, args.R)
                 data = InitialData(Family.bump, 0.0, 1.0, args.R)
                 grid = GridSpec(h=args.h, t_max=args.tmax, pad=max(1.0, args.R))
-            problems = validate(params, data, grid)
-            if problems:
-                print("; ".join(problems), file=sys.stderr)
-                return 1
+            require_valid(params, data, grid)
             with _open_out(args.out) as fh:
                 field, est = march(params, data, grid, keep_field=bool(args.out))
                 if args.out:

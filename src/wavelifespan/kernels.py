@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import GridSpec, InitialData, ModelParams, lattice_index
+from .core import GridSpec, InitialData, ModelParams, align_slack, lattice_index
 
 
 def bracket(x):
@@ -112,12 +112,13 @@ def weight_w(x, t, params: ModelParams):
     """Piecewise weight of the contraction norm; chi = 1 iff t - |x| > R.
 
     Branches: a>0 outer weight 1; a=0 outer 1/log(t+|x|+R); -1<=a<0 outer
-    (t+|x|+R)^a; a<-1 inner weight switches to (1+t+|x|)^{1+a}.
+    (t+|x|+R)^a; a<-1 inner weight switches to (1+t+|x|)^{1+a}.  chi is strict:
+    a node on t - |x| = R, to within core.align_slack(t), takes the outer one.
     """
     x = np.abs(np.asarray(x, dtype=float))
     t = np.asarray(t, dtype=float)
     a, R = params.a, params.R
-    chi = t - x > R
+    chi = x < t - (R + align_slack(t))  # x against a scalar or column: no full-size pass
     if a < -1:
         inner = (1.0 + t + x) ** (1.0 + a)
     else:
@@ -143,6 +144,8 @@ def duhamel_Lprime(F: Callable, x: float, t: float, params: ModelParams, h: floa
     """
     lattice_index(x, h, f"x={x} is not a lattice node")
     n = lattice_index(t, h, f"t={t} is not a lattice level")
+    if n < 0:
+        raise ValueError(f"t={t} must be >= 0")
     if n == 0:
         return 0.0
     s = h * np.arange(n + 1)
@@ -156,26 +159,16 @@ def duhamel_Lprime(F: Callable, x: float, t: float, params: ModelParams, h: floa
 
 
 def field_sampler(field) -> Callable:
-    """Wrap a CharField as an (x, t) -> U callable that refuses missing nodes."""
-
+    """Wrap a CharField as an (x, t) -> U callable; KeyError off its lattice or levels."""
     grid = field.grid
     levels = field.stored_levels()
 
     def sample(x, t):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        i = np.rint((x - grid.x_min) / grid.h).astype(int)
-        n = np.rint(t / grid.h).astype(int)
-        if np.any(np.abs(x - (grid.x_min + i * grid.h)) > 1e-8) or np.any(
-            np.abs(t - n * grid.h) > 1e-8
-        ):
-            raise KeyError("off-lattice access to field values")
-        if (
-            np.any(i < 0)
-            or np.any(i >= grid.n_x)
-            or np.any(n < 0)
-            or np.any(n >= levels.shape[0])
-        ):
+        try:
+            i, n = grid.index_of_x(x), grid.index_of_t(t)
+        except ValueError as exc:
+            raise KeyError(f"off-lattice access to field values: {exc}") from None
+        if np.any(i < 0) or np.any(i >= grid.n_x) or np.any(n < 0) or np.any(n >= len(levels)):
             raise KeyError("field access outside the computed lattice")
         return levels[n, i]
 

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -95,6 +96,46 @@ class TestGridSpec:
         for t in (0.026, math.inf, math.nan):
             with pytest.raises(ValueError, match="is not a lattice level"):
                 g.index_of_t(t)
+
+    def test_lattice_index_on_arrays(self):
+        assert type(lattice_index(0.1, 0.05, "x")) is int
+        k = lattice_index(np.array([0.0, 0.1, -0.3, 2.5]), 0.05, "x")
+        assert k.dtype.kind == "i" and k.tolist() == [0, 2, -6, 50]
+        assert lattice_index(np.zeros((2, 3)), 0.05, "x").shape == (2, 3)
+        for bad in (0.013, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError) as scalar:
+                lattice_index(bad, 0.05, "x is off the lattice")
+            with pytest.raises(ValueError) as array:
+                lattice_index(np.array([0.0, bad, 0.1]), 0.05, "x is off the lattice")
+            assert str(array.value) == str(scalar.value) == "x is off the lattice (h=0.05)"
+
+    def test_index_of_arrays(self):
+        g = GridSpec(h=0.05, t_max=4.0, pad=1.5)
+        i = np.array([0, 7, g.n_x - 1])
+        assert g.index_of_x(g.x_nodes()[i]).tolist() == i.tolist()
+        assert g.index_of_t(np.array([0.0, 3.05])).tolist() == [0, 61]
+        with pytest.raises(ValueError, match=r"x=\[\.\.\.\] is not a lattice node"):
+            g.index_of_x(np.array([0.0, 0.513]))
+
+    @pytest.mark.parametrize(
+        "h, t_max, pad, R",
+        [
+            ("0.05", "4", "1", "1"),
+            ("0.03", "3", "1.5", "1.3"),
+            ("0.04", "2", "1.6", "1.5"),
+            ("0.2", "2", "1.4", "1.3"),
+            ("0.0125", "1", "3", "3"),
+            ("0.1", "2", "2", "1.5"),
+        ],
+    )
+    def test_active_slice_is_the_exact_cone(self, h, t_max, pad, R):
+        # |x_i| <= t_n + R in exact rationals, clamped to the grid past t_max
+        h, t_max, pad, R = map(Fraction, (h, t_max, pad, R))
+        g = GridSpec(h=float(h), t_max=float(t_max), pad=float(pad))
+        xs = [abs(-(t_max + pad) + i * h) for i in range(g.n_x)]
+        for n in range(g.n_t + 4):
+            inside = [i for i, x in enumerate(xs) if x <= n * h + R]
+            assert g.active_slice(n, float(R)) == (inside[0], inside[-1])
 
     @pytest.mark.parametrize("h", [0.0, -0.05, math.inf, math.nan])
     def test_lattice_index_rejects_a_bad_step(self, h):

@@ -433,6 +433,9 @@ class TestCli:
     def test_solve_validation_exit_code(self, capsys):
         rc = run_cli(["solve", "--p", "0.5", "--eps", "0.01", "--h", "0.1", "--tmax", "1.0"])
         assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: invalid configuration: p must exceed 1\n"
+        assert captured.out == ""
 
     def test_phase_diagram_file(self, tmp_path):
         out = tmp_path / "phase.csv"

@@ -118,6 +118,33 @@ class TestWeightW:
             assert np.all(w > 0)
             assert np.allclose(w, weight_w(-x, t, params), rtol=1e-14)
 
+    @pytest.mark.parametrize(
+        "a, R", [(1.0, 1.0), (0.0, 2.0), (-0.5, 1.0), (-1.0, 1.0), (-1.5, 1.0)]
+    )
+    def test_chi_line_takes_the_outer_branch(self, a, R):
+        # node (i, n) sits on t - |x| = R when n - |i - c| = R/h; chi is strict
+        grid = GridSpec(h=0.05, t_max=80.0, pad=R)
+        params = ModelParams(2, a, 0, 0.1, R=R)
+        c, m = (grid.n_x - 1) // 2, round(R / grid.h)
+        x = grid.x_nodes()
+        for depth in (0, 1):  # the nodes on the line, then those one step inside
+            n = np.arange(m + depth, grid.n_t + 1)
+            i = np.concatenate([c + n - m - depth, c - n + m + depth])
+            ax, t = np.abs(x[i]), grid.h * np.concatenate([n, n])
+            s = t + ax + R
+            if depth:
+                expected = (1.0 + t + ax if a < -1 else 1.0 + t - ax) ** (1.0 + a)
+            elif a > 0:
+                expected = np.ones_like(s)
+            else:
+                expected = 1.0 / np.log(s) if a == 0 else s**a
+            assert np.array_equal(weight_w(x[i], t, params), expected)
+        # the slack is a column when t is, as in apriori_profiles' blocks
+        n = np.arange(m, grid.n_t + 1)
+        col = weight_w(x[None, :], grid.h * n[:, None], params)
+        on_line = weight_w(x[c + n - m], grid.h * n, params)
+        assert np.array_equal(col[np.arange(n.size), c + n - m], on_line)
+
 
 def _const(value):
     def F(y, s):
@@ -198,6 +225,8 @@ class TestDuhamelLprime:
         for t in (1.003, math.inf, math.nan):
             with pytest.raises(ValueError, match="is not a lattice level"):
                 duhamel_Lprime(_const(1.0), 0.0, t, params, 0.05)
+        with pytest.raises(ValueError, match=r"t=-0\.5 must be >= 0"):
+            duhamel_Lprime(_const(1.0), 0.0, -0.5, params, 0.05)
 
 
 class TestFieldSampler:
@@ -213,3 +242,11 @@ class TestFieldSampler:
             sampler(0.013, 0.0)
         with pytest.raises(KeyError):
             sampler(0.0, 5.0)
+        for x, t in ((math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)):
+            with pytest.raises(KeyError):
+                sampler(x, t)
+            with pytest.raises(KeyError):
+                sampler(np.array([0.0, x]), np.array([0.0, t]))
+        assert sampler(np.array([0.0, 0.5]), np.array([0.5, 1.0])).tolist() == [
+            levels[1, grid.n_x // 2], levels[2, grid.n_x // 2 + 1]
+        ]

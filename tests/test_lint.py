@@ -5,12 +5,17 @@ An import the module never reads fails unless its statement carries
 its module references fails; so does importing a private name from another
 module; so does any module but core.py reading ALIGN_TOL, the tolerance of
 core.lattice_index, the one home of the lattice-alignment rule; so does
-oracle.py importing from solver or harness, the code it exists to check.
+kernels.py, solver.py or harness.py calling round, floor, ceil or rint,
+since only core rounds onto the march lattice (oracle.py keeps a leapfrog
+grid of its own); so does oracle.py importing from solver or harness, the
+code it exists to check.
 
-A public definition has a user: every public top-level function or class,
-and every public method of a class not in wavelifespan.__all__, is named by
-an identifier somewhere in src/ or bench/, by a string constant in bench/
-(the names the benchmark patches), or by __all__.  So src/ holds only what
+A public definition has a user: every public top-level function or class
+is named by an identifier somewhere in src/ or bench/, by a string constant
+in bench/ (the names the benchmark patches), or by __all__; every public
+method of a class not in wavelifespan.__all__ is read as an attribute
+(obj.method) in src/ or bench/ or named by a string constant in bench/, so a
+local variable of the same name does not count.  So src/ holds only what
 the CLI, the library API and the benchmark run; a reference that only the
 tests call belongs under tests/.
 """
@@ -89,28 +94,33 @@ def public_defs(source: str, exported: set) -> list:
 
 
 def identifiers(source: str) -> set:
-    """Names the source reads, bare or as an attribute."""
+    """Names the source reads: a bare name as name, an attribute as .name."""
     tree = ast.parse(source)
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
-        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+        "." + node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
     }
 
 
 def string_constants(source: str) -> set:
-    return {
+    """The string constants of the source, each both as name and as .name."""
+    strings = {
         node.value
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
+    return strings | {"." + s for s in strings}
 
 
 def unused_public_defs(source: str, used: set, exported: set) -> list:
-    """Public definitions whose name is neither in used nor in exported."""
-    return [
-        f"line {line}: {qualname}"
-        for line, qualname, name in public_defs(source, exported)
-        if name not in used and name not in exported
-    ]
+    """Public definitions without a use: a top-level one whose name is in
+    neither used (bare or as .name) nor exported, a method whose .name is
+    not in used."""
+    out = []
+    for line, qualname, name in public_defs(source, exported):
+        uses = {"." + name} if "." in qualname else {name, "." + name}
+        if not uses & used and name not in exported:
+            out.append(f"line {line}: {qualname}")
+    return out
 
 
 def names_in_use() -> set:
@@ -121,6 +131,27 @@ def names_in_use() -> set:
     for path in BENCH:
         used |= string_constants(path.read_text())
     return used
+
+
+ROUNDING = {"rint", "round", "floor", "ceil"}
+
+
+def lattice_rounding_calls(source: str) -> list:
+    """Lines that call round, or rint, round, floor or ceil of np, numpy or math."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (
+            isinstance(func, ast.Name) and func.id == "round"
+            or isinstance(func, ast.Attribute)
+            and func.attr in ROUNDING
+            and isinstance(func.value, ast.Name)
+            and func.value.id in ("np", "numpy", "math")
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
 
 
 def private_imports(source: str) -> list:
@@ -190,6 +221,12 @@ def test_only_core_reads_the_lattice_tolerance(path):
     assert align_tol_reads(path.read_text()) == []
 
 
+@pytest.mark.parametrize("name", ["kernels.py", "solver.py", "harness.py"])
+def test_only_core_rounds_onto_the_lattice(name):
+    path = next(m for m in MODULES if m.name == name)
+    assert lattice_rounding_calls(path.read_text()) == []
+
+
 def test_oracle_imports_nothing_it_checks():
     oracle = next(m for m in MODULES if m.name == "oracle.py")
     assert checked_code_imports(oracle.read_text()) == []
@@ -219,16 +256,24 @@ def test_checks_flag_what_they_should():
         "def exported(): pass\n"
         "def patched(): pass\n"
         "def orphan_fn(): pass\n"
+        "class Shadowed:\n"
+        "    def u(self): pass\n"
+        "i = round(x / h) + np.rint(y) + math.floor(z) + numpy.ceil(w)\n"
+        "j = np.round(x) + abs(x) + np.floor_divide(x, h)\n"
     )
     assert unused_imports(source) == ["line 1: Sequence"]
     assert unreferenced_private_defs(source) == ["line 4: _dead"]
     assert private_imports(source) == ["line 7: _level_blocks"]
     assert align_tol_reads(source) == [8, 9, 10]
     assert checked_code_imports(source) == [7, 11, 12]
-    used = identifiers("Hidden().called()\n") | string_constants("patch(owner, 'patched')\n")
+    used = identifiers("Hidden().called()\nu = Shadowed()\nu()\n") | string_constants(
+        "patch(owner, 'patched')\n"
+    )
     assert unused_public_defs(source, used, {"Kept", "exported"}) == [
         "line 18: Hidden.orphan",
         "line 22: orphan_fn",
+        "line 24: Shadowed.u",
     ]
+    assert lattice_rounding_calls(source) == [25, 26]
     core = next(m for m in MODULES if m.name == "core.py")
     assert align_tol_reads(core.read_text()) != []
