@@ -23,19 +23,26 @@ def align_slack(size):
     return ALIGN_TOL * (1.0 + abs(size))
 
 
+class IndexTooLarge(ValueError):
+    """An offset on the lattice whose index does not fit in int64."""
+
+
 def lattice_index(offset, h: float, what: str):
     """round(offset / h), the index of offset on the lattice of step h.
 
-    An int, or an int array for an array offset.  Raises ValueError
+    An int, or an int64 array for an array offset.  Raises ValueError
     "{what} (h=...)" unless h is positive and finite and every offset / h is
-    a finite integer to within align_slack.
+    a finite integer to within align_slack, and IndexTooLarge when such an
+    integer is 2^63 or more in magnitude, where an array's index would wrap.
     """
     ratio = np.asarray(offset, dtype=float) / (h if 0 < h < math.inf else math.nan)
     k = np.rint(ratio)
     with np.errstate(invalid="ignore"):  # inf - inf: NaN fails the test below
-        if np.all(np.abs(ratio - k) <= align_slack(ratio)):
-            return int(k) if k.ndim == 0 else k.astype(int)
-    raise ValueError(f"{what} (h={h})")
+        if not np.all(np.abs(ratio - k) <= align_slack(ratio)):
+            raise ValueError(f"{what} (h={h})")
+    if not np.all(np.abs(k) < 2.0**63):
+        raise IndexTooLarge(f"{what} (h={h}): index of magnitude 2^63 or more")
+    return int(k) if k.ndim == 0 else k.astype(int)
 
 
 class Family(str, Enum):
@@ -269,6 +276,8 @@ def validate(params: ModelParams, data: InitialData, grid: Optional[GridSpec] = 
             for name, val in (("t_max", grid.t_max), ("t_max+pad", grid.t_max + grid.pad)):
                 try:
                     lattice_index(val, grid.h, name)
+                except IndexTooLarge:
+                    out.append(f"{name} / h must be below 2^63")
                 except ValueError:
                     out.append(f"{name} must be an integer multiple of h")
         if grid.pad < params.R:

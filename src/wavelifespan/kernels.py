@@ -25,11 +25,19 @@ def bracket(x):
 
 
 def nonlinear_weight(x, t, params: ModelParams):
-    """Damping factor <t+<x>>^{-(1+a)} <t-<x>>^{-(1+b)} of the source term."""
-    bx = bracket(x)
-    plus = bracket(np.asarray(t, dtype=float) + bx)
-    minus = bracket(np.asarray(t, dtype=float) - bx)
-    out = plus ** (-(1.0 + params.a)) * minus ** (-(1.0 + params.b))
+    """Damping factor <t+<x>>^{-(1+a)} <t-<x>>^{-(1+b)} of the source term.
+
+    At a = b = -1 both exponents are 0: no bracket is taken, and the weight
+    is ones of the broadcast shape of x and t.
+    """
+    ea, eb = -(1.0 + params.a), -(1.0 + params.b)
+    if ea == 0.0 and eb == 0.0:
+        out = np.ones(np.broadcast_shapes(np.shape(x), np.shape(t)))
+    else:
+        bx = bracket(x)
+        plus = bracket(np.asarray(t, dtype=float) + bx)
+        minus = bracket(np.asarray(t, dtype=float) - bx)
+        out = plus ** ea * minus ** eb
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -114,24 +122,37 @@ def weight_w(x, t, params: ModelParams):
     Branches: a>0 outer weight 1; a=0 outer 1/log(t+|x|+R); -1<=a<0 outer
     (t+|x|+R)^a; a<-1 inner weight switches to (1+t+|x|)^{1+a}.  chi is strict:
     a node on t - |x| = R, to within core.align_slack(t), takes the outer one.
+
+    The inner weight is built in place on every node.  At a > 0 it is also
+    the outer one: off chi its base is 1, and 1^{1+a} = 1.  At a <= 0 the
+    outer weight is evaluated only on the columns (the last axis) where
+    some node leaves chi.
     """
     x = np.abs(np.asarray(x, dtype=float))
     t = np.asarray(t, dtype=float)
     a, R = params.a, params.R
     chi = x < t - (R + align_slack(t))  # x against a scalar or column: no full-size pass
+    # numpy's power of a scalar and of an array can differ in the last bit,
+    # so each power below acts on a scalar exactly where the dense form's did
     if a < -1:
-        inner = (1.0 + t + x) ** (1.0 + a)
+        out = 1.0 + t + x
+        out **= 1.0 + a
+        out = np.asarray(out)
     else:
-        # only evaluated where chi holds, so keep the base positive elsewhere
-        inner = np.where(chi, 1.0 + t - x, 1.0) ** (1.0 + a)
-    if a > 0:
-        outer = np.ones_like(inner)
-    elif a == 0:
-        with np.errstate(divide="ignore"):
-            outer = 1.0 / np.log(t + x + R)
-    else:
-        outer = (t + x + R) ** a
-    out = np.where(chi, inner, outer)
+        # off chi the base is 1: positive, and at a > 0 the outer weight
+        out = np.asarray(1.0 + t - x)
+        np.copyto(out, 1.0, where=~chi)
+        out **= 1.0 + a
+    if a <= 0:
+        # the columns where some node leaves chi; a scalar is its own column
+        cols = (..., ~np.all(chi, axis=tuple(range(chi.ndim - 1)))) if chi.ndim else ()
+        xo, to = (np.broadcast_to(v, chi.shape)[cols] for v in (x, t))
+        if a == 0:
+            with np.errstate(divide="ignore"):
+                outer = 1.0 / np.log(to + xo + R)
+        else:
+            outer = (to + xo + R) ** a
+        out[cols] = np.where(chi[cols], out[cols], outer)
     return float(out) if out.ndim == 0 else out
 
 

@@ -86,8 +86,15 @@ def _solve_level(
 
 
 def _masked_weighted_sup(U: np.ndarray, w: np.ndarray):
-    """sup |w*U| over the last axis, treating w*0 as 0 even where w is singular."""
-    return np.max(np.where(U == 0.0, 0.0, w) * np.abs(U), axis=-1)
+    """sup |w*U| over the last axis (0 where it is empty), treating w*0 as 0
+    even where w is singular.
+
+    R >= 1 keeps w >= 0, so w*0 is +0 wherever w is finite: the mask is
+    applied only when some w is not.  The product is built in place of |U|.
+    """
+    v = np.abs(U)
+    v *= w if np.max(w, initial=0.0) < np.inf else np.where(U == 0.0, 0.0, w)
+    return np.max(v, axis=-1, initial=0.0)
 
 
 def march(
@@ -225,9 +232,9 @@ def apriori_profiles(
     both numerators and fills rows 1 and 2; on picard_U2 it is U.  The free
     field B and its one source |B|^p vanish off the block's columns where B
     is nonzero (the two d'Alembert bands |x -+ t| < R), so that source and
-    B's sup are taken on those columns only, and where the block's w is
-    finite its sups need no mask; picard_U2 weighs every node, since its
-    L'U source is dense.
+    B's sup are taken on those columns only; picard_U2 weighs every node,
+    since its L'U source is dense.  The free pass holds about five block
+    arrays at a time.
     """
     require_valid(params, data, grid)
     if test_field not in ("free", "picard_U2"):
@@ -252,13 +259,9 @@ def apriori_profiles(
         source = np.zeros_like(B)
         source[:, cols] = absB**params.p * nonlinear_weight(xa[cols], t, params)
         L = _explicit_block(acc, n0, slices, source)
-        if np.max(w) < np.inf:
-            # R >= 1 keeps w >= 0, so w*0 is +0 and the sups need no mask
-            out[0, rows] = np.max(w[:, cols] * absB, axis=-1, initial=0.0)
-            out[1:, rows] = np.max(w * np.abs(L), axis=-1)
-        else:
-            out[0, rows] = _masked_weighted_sup(B, w)
-            out[1:, rows] = _masked_weighted_sup(L, w)
+        out[0, rows] = _masked_weighted_sup(absB, w[:, cols])
+        out[1:, rows] = _masked_weighted_sup(L, w)
+        del w, source, L  # free the block's arrays before the next block builds its own
     return out
 
 

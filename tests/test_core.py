@@ -15,6 +15,7 @@ from wavelifespan.core import (
     LifespanEstimate,
     ModelParams,
     Status,
+    IndexTooLarge,
     lattice_index,
     load_config,
     validate,
@@ -109,6 +110,20 @@ class TestGridSpec:
                 lattice_index(np.array([0.0, bad, 0.1]), 0.05, "x is off the lattice")
             assert str(array.value) == str(scalar.value) == "x is off the lattice (h=0.05)"
 
+    @pytest.mark.parametrize("big", [1e19, -1e19, 2.0**63, 1e300])
+    def test_lattice_index_rejects_an_index_past_int64(self, big):
+        # an array index would wrap to -2^63; the scalar index is refused alike
+        too_large = r"^x is too far \(h=1\.0\): index of magnitude 2\^63 or more$"
+        for offset in (big, np.array([0.0, big])):
+            with pytest.raises(IndexTooLarge, match=too_large):
+                lattice_index(offset, 1.0, "x is too far")
+        g = GridSpec(h=0.05, t_max=4.0, pad=1.0)
+        for x in (big, np.array([0.0, big])):
+            with pytest.raises(IndexTooLarge, match="is not a lattice node"):
+                g.index_of_x(x)
+        # the largest aligned ratio below 2^63 still fits
+        assert lattice_index(np.array([2.0**63 - 1024]), 1.0, "x").tolist() == [2**63 - 1024]
+
     def test_index_of_arrays(self):
         g = GridSpec(h=0.05, t_max=4.0, pad=1.5)
         i = np.array([0, 7, g.n_x - 1])
@@ -183,6 +198,13 @@ class TestValidate:
         assert any("pad" in m for m in validate(params, data, bad_pad))
         bad_mult = GridSpec(h=0.07, t_max=10.0, pad=2.1)
         assert any("multiple of h" in m for m in validate(params, data, bad_mult))
+
+    def test_t_max_whose_index_is_past_int64(self):
+        # 1e20 / 0.05 is an integer, but 2e21 does not fit in int64
+        params = ModelParams(2.0, 0.0, 0.0, 0.1, 1.0)
+        data = InitialData(Family.bump, 0.0, 1.0, 1.0)
+        messages = validate(params, data, GridSpec(h=0.05, t_max=1e20, pad=1.0))
+        assert messages == ["t_max / h must be below 2^63", "t_max+pad / h must be below 2^63"]
 
     @pytest.mark.parametrize("slack", [-2.0, -0.999, 0.999, 2.0])
     def test_t_max_alignment_agrees_with_index_of_t(self, slack):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +250,21 @@ class TestFreeNumerators:
             assert np.array_equal(profiles[2], ref)
         else:
             np.testing.assert_allclose(profiles[2], ref, rtol=1e-15, atol=0.0)
+
+
+class TestAprioriMemory:
+    def test_pass_holds_a_few_blocks(self, bump_data):
+        # criterion 6's a < 0 case at h = 0.05, T = 80: a block of 32 levels
+        # spans up to 3241 nodes, 0.83 MB a field; the pass peaks at 4.4 MB
+        params = ModelParams(2.0, -0.5, 0.0, 0.01, 1.0)
+        grid = GridSpec(h=0.05, t_max=80.0, pad=1.0)
+        tracemalloc.start()
+        try:
+            apriori_profiles(params, bump_data, grid, "free")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class TestAprioriProfilesInput:

@@ -15,6 +15,8 @@ from wavelifespan.kernels import (
 )
 
 from references import free_solution
+from references import nonlinear_weight as dense_nonlinear_weight
+from references import weight_w as dense_weight_w
 
 
 class TestBracket:
@@ -49,6 +51,54 @@ class TestNonlinearWeight:
         w = nonlinear_weight(x, t, params)
         assert np.all(w > 0)
         assert np.allclose(w, nonlinear_weight(-x, t, params), rtol=1e-14)
+
+
+def weight_inputs(rng):
+    """(x, t) in the three shapes the weights take: scalars, elementwise 1-D
+    and row x column blocks, on the h = 0.05 lattice and off it.
+
+    The lattice holds the lines t - |x| = R for R in {1, 1.5, 2} and the
+    node t = x = 0; the block at t >= 4 has columns that never leave chi.
+    """
+    h = 0.05
+    x = h * np.arange(-80, 81)
+    blocks = [(x, h * np.arange(0, 61)[:, None]), (x, h * np.arange(80, 112)[:, None])]
+    X, T = np.broadcast_arrays(*blocks[0])
+    d = T - np.abs(X)
+    on_line = np.isclose(d, 1.0) | np.isclose(d, 1.5) | np.isclose(d, 2.0)
+    line = [(float(X[n, i]), float(T[n, i])) for n, i in zip(*np.nonzero(on_line))]
+    scalars = line[::5] + [(0.0, 0.0), (1.0, 2.0), (-1.5, 3.0), (2.0, 4.0), (0.0, 1.0)]
+    scalars += [(float(a), float(b)) for a, b in zip(rng.uniform(-6, 6, 20), rng.uniform(0, 9, 20))]
+    elementwise = [(X.ravel(), T.ravel()), (rng.uniform(-6, 6, 500), rng.uniform(0, 9, 500))]
+    return scalars, elementwise, blocks
+
+
+class TestWeightsAgainstDenseReference:
+    """Each weight equals, bitwise, its evaluation with every branch and factor on every node."""
+
+    def check(self, fn, ref, params, rng):
+        scalars, elementwise, blocks = weight_inputs(rng)
+        for x, t in scalars:
+            got = fn(x, t, params)
+            assert type(got) is float
+            assert np.array_equal(got, ref(x, t, params), equal_nan=True)
+        for x, t in elementwise + blocks:
+            got = fn(x, t, params)
+            assert got.shape == np.broadcast_shapes(x.shape, t.shape)
+            assert np.array_equal(got, ref(x, t, params), equal_nan=True)
+
+    @pytest.mark.parametrize("R", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("a", [1.0, 0.5, 0.0, -0.5, -1.0, -1.5])
+    def test_weight_w(self, a, R, rng):
+        params = ModelParams(2, a, 0.0, 0.1, R)
+        self.check(weight_w, dense_weight_w, params, rng)
+        if a == 0.0 and R == 1.0:  # the singular node t = x = 0
+            assert weight_w(0.0, 0.0, params) == math.inf
+
+    @pytest.mark.parametrize("b", [0.0, -1.0, -3.0])
+    @pytest.mark.parametrize("a", [1.0, 0.5, 0.0, -0.5, -1.0, -1.5])
+    def test_nonlinear_weight(self, a, b, rng):
+        self.check(nonlinear_weight, dense_nonlinear_weight, ModelParams(2, a, b, 0.1), rng)
 
 
 class TestFreeSolution:

@@ -100,19 +100,27 @@ class TestBlowupAgreement:
     )
     def test_every_blowup_regime_meets_the_oracle(self, bump_data, p, a, b, eps, kind):
         # march at h against the leapfrog at dx = h/5, within criterion 5's
-        # 10% bound at both resolutions, and closer at the finer pair
+        # 10% bound at both resolutions, and closer at the finer pair; both
+        # converge at first order, so their extrapolations 2 T(h/2) - T(h)
+        # agree closer still than the finer pair's raw values
         assert classify_regime(p, a, b).kind is kind
         params = ModelParams(p, a, b, eps, 1.0)
-        gaps = []
+        T_m, T_l = [], []
         for h, dx in ((0.05, 0.01), (0.025, 0.005)):
             grid = GridSpec(h=h, t_max=40.0, pad=1.0)
             _, est_m = march(params, bump_data, grid, keep_field=False)
             _, est_l = leapfrog_solve(params, bump_data, dx=dx, cfl=0.9, t_max=40.0)
             assert est_m.status is Status.blowup and est_l.status is Status.blowup
             assert est_m.cause is Cause.no_root and est_l.cause is Cause.threshold_exceeded
-            gaps.append(abs(est_m.T_blow - est_l.T_blow) / est_l.T_blow)
+            T_m.append(est_m.T_blow)
+            T_l.append(est_l.T_blow)
+        gaps = [abs(m - l) / l for m, l in zip(T_m, T_l)]
         assert max(gaps) <= 0.10
         assert gaps[1] < gaps[0]
+        ext_m, ext_l = (2.0 * T[1] - T[0] for T in (T_m, T_l))
+        ext_gap = abs(ext_m - ext_l) / ext_l
+        print(f"{kind.value}: raw gap at the finer pair {gaps[1]:.4f}, extrapolated gap {ext_gap:.4f}")
+        assert ext_gap < gaps[1]
 
 
 def compare_from_u_t_levels(char_field, u, x, dx, dt, window):
