@@ -24,8 +24,7 @@ from .core import (
     load_config_file,
     require_valid,
 )
-# free_solution_dt and apply_duhamel_field stay bound here because the
-# benchmark wraps them at these names
+# the benchmark wraps free_solution_dt and apply_duhamel_field at these names
 from .kernels import free_solution_dt  # noqa: F401
 from .solver import apply_duhamel_field, apriori_profiles, dump_field_csv, march  # noqa: F401
 
@@ -192,16 +191,15 @@ def verify_apriori(
     ratio_E = ||L'(|U|^p)|| / (E(T) ||U||^p) for the chosen test field U;
     ratio_D = ||L'(|U0|^{p-1} |U|)|| / (D_a(T) ||U||) with U0 the
     characteristic-band free field.  Both should stay bounded (near
-    constant) as T grows.  On the free test field U = U0, so both
-    numerators are the one field L'(|U0|^p), and the pass takes it once.
+    constant) as T grows.
 
     The three norms of every T come from one streamed pass over the levels
     up to the largest T (solver.apriori_profiles), which stores no field:
     memory is O(n_x + n_t).  The norm over [0, T] is the running max of the
-    per-level sups, read at the level of T.  Raises ValueError when the
-    norm of U is not finite or is 0 on [0, T], where a ratio would be
-    undefined.  Every T must be finite, >= 0 and a lattice level of h; the
-    ladder is checked before the pass.
+    per-level sups, read at the level of T.  Every T must be finite, >= 0
+    and a lattice level of h, and the largest T positive, checked before
+    the grid and the pass.  Raises ValueError naming eps when a norm or
+    ||U||^p overflows, and naming T when ||U|| is 0 on [0, T].
     """
     T_ladder = sorted(T_ladder)
     if not T_ladder:
@@ -210,26 +208,32 @@ def verify_apriori(
         if not 0 <= T < math.inf:
             raise ValueError(f"every T must be finite and >= 0, got T={T:g}")
     grid = GridSpec(h=h, t_max=T_ladder[-1], pad=max(1.0, params.R))
-    require_valid(params, data, grid)
     levels = [grid.index_of_t(T) for T in T_ladder]  # raises for a T off the lattice
+    if levels[-1] == 0:
+        raise ValueError(f"the largest T must be positive, got T={T_ladder[-1]:g}")
+    require_valid(params, data, grid)
     # fmax skips a NaN sup, so one NaN level leaves the norms of later T defined
     norms = np.fmax.accumulate(apriori_profiles(params, data, grid, test_field), axis=1)
+    if params.a == 0 and params.R == 1 and norms[0, 0] == math.inf:
+        raise ValueError(
+            "the weight w is singular where the test field is not 0: "
+            "for a = 0, w = 1/log(t+|x|+R) needs R > 1"
+        )
 
     rows = []
     for T, n_T in zip(T_ladder, levels):
         norm_U, norm_LU, norm_LB = (float(v) for v in norms[:, n_T])
-        if not math.isfinite(norm_U):
-            raise ValueError(
-                f"the weighted norm of the test field is not finite at T={T:g}: the weight w "
-                "is singular where U != 0 (for a = 0, w = 1/log(t+|x|+R) needs R > 1)"
-            )
+        try:
+            norm_Up = norm_U**params.p
+        except OverflowError:
+            norm_Up = math.inf
+        if not all(map(math.isfinite, (norm_Up, norm_LU, norm_LB))):  # norm_U too, as p > 1
+            raise ValueError(f"the weighted norms overflow at T={T:g} for eps={params.epsilon:g}")
         if norm_U == 0:
             raise ValueError(f"the test field is 0 on [0, T] for T={T:g}: its ratios are undefined")
         E = theory.E_ab(T, params.p, params.a, params.b, params.R)
         D = theory.D_a(T, params.a, params.R)
-        ratio_E = norm_LU / (E * norm_U**params.p)
-        ratio_D = norm_LB / (D * norm_U)
-        rows.append((T, ratio_E, ratio_D))
+        rows.append((T, norm_LU / (E * norm_Up), norm_LB / (D * norm_U)))
     return rows
 
 

@@ -106,8 +106,9 @@ def march(
 ) -> tuple[CharField, LifespanEstimate]:
     """March the integral equation level by level until blow-up or t_max.
 
-    Newton solves each level to INNER_TOL within INNER_MAX steps; |U| past
-    default_blow_threshold is blow-up.
+    Level 0 is the seed eps*u_t0; Newton solves each later level to
+    INNER_TOL within INNER_MAX steps; |U| past default_blow_threshold is
+    blow-up.
     """
     require_valid(params, data, grid)
     blow_threshold = default_blow_threshold(params, data)
@@ -116,39 +117,32 @@ def march(
     x = grid.x_nodes()
     acc = CharAccumulator.seeded(data, grid, params.epsilon)
     levels = np.zeros((grid.n_t + 1, grid.n_x)) if keep_field else None
-
-    lo, hi = grid.active_slice(0, R)
-    xa = x[lo : hi + 1]
-    U0 = acc.values(0, 1, lo, hi)[0]  # the seed: level 0 has no history
-    acc.explicit_step(0, lo, hi, np.abs(U0) ** p * nonlinear_weight(xa, 0.0, params))
-    if keep_field:
-        levels[0, lo : hi + 1] = U0
-
-    sup_history = [float(np.max(np.abs(U0))) if U0.size else 0.0]
-    wsup_history = None
-    if track_weighted_sup:
-        wsup_history = [_masked_weighted_sup(U0, weight_w(xa, 0.0, params))]
-
-    cause = None
-    T_blow = None
+    sup_history = []
+    wsup_history = [] if track_weighted_sup else None
+    cause = T_blow = None
     n_done = 0
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, grid.n_t + 1):
+        for n in range(grid.n_t + 1):
             t = n * h
             lo, hi = grid.active_slice(n, R)
             xa = x[lo : hi + 1]
-            gamma = acc.c * nonlinear_weight(xa, t, params)
             plus, minus = acc.diagonals(n, lo, hi)
-            z, cause = _solve_level(plus + minus, gamma, p, INNER_TOL, INNER_MAX, blow_threshold)
+            # each branch takes the weight itself: kept alive through the solve, it measured slower
+            if n == 0:  # the seed: level 0 has no history, so no endpoint to solve
+                G = np.abs(plus + minus) ** p * nonlinear_weight(xa, t, params)
+                z = acc.explicit_step(0, lo, hi, G)
+            else:
+                gamma = acc.c * nonlinear_weight(xa, t, params)
+                z, cause = _solve_level(plus + minus, gamma, p, INNER_TOL, INNER_MAX, blow_threshold)
+                if cause is None:
+                    F = np.abs(z) ** p * gamma
+                    plus += F  # views: scatter along both characteristic diagonals
+                    minus += F
             sup_history.append(float(np.max(np.abs(z))))
             if cause is not None:
                 T_blow = t - 0.5 * h
                 break
-
-            F = np.abs(z) ** p * gamma
-            plus += F  # views: scatter along both characteristic diagonals
-            minus += F
             if keep_field:
                 levels[n, lo : hi + 1] = z
             if track_weighted_sup:
@@ -226,42 +220,42 @@ def apriori_profiles(
     Rows 0, 1 and 2 hold sup |w U|, sup |w L'(|U|^p)| and
     sup |w L'(|B|^{p-1} |U|)| over the active cone of each level 0..n_t,
     where B = eps*u_t0 is the band free field and the test field U is B
-    ("free") or L'(|B|^p) ("picard_U2").  Each L' streams through
+    ("free") or L = L'(|B|^p) ("picard_U2").  Each L' streams through
     _level_blocks with its own CharAccumulator, so memory is O(n_x + n_t).
-    Both test fields step L'(|B|^p) once: on the free field U = B, so it is
-    both numerators and fills rows 1 and 2; on picard_U2 it is U.  The free
-    field B and its one source |B|^p vanish off the block's columns where B
-    is nonzero (the two d'Alembert bands |x -+ t| < R), so that source and
-    B's sup are taken on those columns only; picard_U2 weighs every node,
-    since its L'U source is dense.  The free pass holds about five block
-    arrays at a time.
+    Every source with a factor |B| vanishes off the block's columns where B
+    is nonzero (the bands |x -+ t| < R), so it is built there only.  On
+    U = B, L is both numerators; on U = L, only the source of L'U is dense.
     """
     require_valid(params, data, grid)
     if test_field not in ("free", "picard_U2"):
         raise ValueError(f"unknown test field {test_field!r}")
-    acc = CharAccumulator(grid.n_x, grid.n_t, grid.h)  # L'(|B|^p)
+    acc = CharAccumulator(grid.n_x, grid.n_t, grid.h)  # L
     if test_field == "picard_U2":
         acc_LU, acc_LB = (CharAccumulator(grid.n_x, grid.n_t, grid.h) for _ in range(2))
     out = np.empty((3, grid.n_t + 1))
-    for n0, slices, xa, t, B in _level_blocks(params, data, grid, grid.n_t):
-        rows = slice(n0, n0 + len(slices))
-        w = weight_w(xa, t, params)
-        if test_field == "picard_U2":
-            W = nonlinear_weight(xa, t, params)  # L'U is dense: so is its source
-            L = _explicit_block(acc, n0, slices, np.abs(B) ** params.p * W)
-            LU = _explicit_block(acc_LU, n0, slices, np.abs(L) ** params.p * W)
-            LB = _explicit_block(acc_LB, n0, slices, np.abs(B) ** (params.p - 1) * np.abs(L) * W)
-            out[:, rows] = [_masked_weighted_sup(V, w) for V in (L, LU, LB)]
-            continue
-        # B, its source |B|^p W and its weighted sup vanish off B's columns
-        cols = np.any(B != 0.0, axis=0)
-        absB = np.abs(B[:, cols])
-        source = np.zeros_like(B)
-        source[:, cols] = absB**params.p * nonlinear_weight(xa[cols], t, params)
-        L = _explicit_block(acc, n0, slices, source)
-        out[0, rows] = _masked_weighted_sup(absB, w[:, cols])
-        out[1:, rows] = _masked_weighted_sup(L, w)
-        del w, source, L  # free the block's arrays before the next block builds its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n0, slices, xa, t, B in _level_blocks(params, data, grid, grid.n_t):
+            rows = slice(n0, n0 + len(slices))
+            w = weight_w(xa, t, params)
+            cols = np.any(B != 0.0, axis=0)
+            absB = np.abs(B[:, cols])
+            W_cols = nonlinear_weight(xa[cols], t, params)
+            source = np.zeros_like(B)
+            source[:, cols] = absB**params.p * W_cols
+            del B  # only its columns are read from here on
+            L = _explicit_block(acc, n0, slices, source)
+            if test_field == "free":
+                out[0, rows] = _masked_weighted_sup(absB, w[:, cols])
+                out[1:, rows] = _masked_weighted_sup(L, w)
+                del w, source, L  # free them now: on picard_U2 that ran slower (more page faults)
+                continue
+            out[0, rows] = _masked_weighted_sup(L, w)
+            W = nonlinear_weight(xa, t, params)  # L is dense: so is the source of L'U
+            out[1, rows] = _masked_weighted_sup(
+                _explicit_block(acc_LU, n0, slices, np.abs(L) ** params.p * W), w
+            )
+            source[:, cols] = absB ** (params.p - 1) * np.abs(L[:, cols]) * W_cols  # 0 off cols
+            out[2, rows] = _masked_weighted_sup(_explicit_block(acc_LB, n0, slices, source), w)
     return out
 
 

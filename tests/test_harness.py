@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -253,18 +254,21 @@ class TestFreeNumerators:
 
 
 class TestAprioriMemory:
-    def test_pass_holds_a_few_blocks(self, bump_data):
+    @pytest.mark.parametrize("test_field, bound", [("free", 5e6), ("picard_U2", 7.5e6)])
+    def test_pass_holds_a_few_blocks(self, test_field, bound, bump_data):
         # criterion 6's a < 0 case at h = 0.05, T = 80: a block of 32 levels
-        # spans up to 3241 nodes, 0.83 MB a field; the pass peaks at 4.4 MB
+        # spans up to 3241 nodes, 0.83 MB a field; the free pass peaks at
+        # 3.6 MB and the picard_U2 pass, which steps two more fields, one of
+        # them from a dense source, at 7.1 MB
         params = ModelParams(2.0, -0.5, 0.0, 0.01, 1.0)
         grid = GridSpec(h=0.05, t_max=80.0, pad=1.0)
         tracemalloc.start()
         try:
-            apriori_profiles(params, bump_data, grid, "free")
+            apriori_profiles(params, bump_data, grid, test_field)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5e6
+        assert peak < bound
 
 
 class TestAprioriProfilesInput:
@@ -387,7 +391,8 @@ class TestVerifyApriori:
             ([math.nan, 10.0], "finite and >= 0"),
             ([5.0, math.inf], "finite and >= 0"),
             ([5.01, 10.0], "not a lattice level"),
-            ([5.0, 10.01], "t_max must be an integer multiple of h"),  # the grid's own check
+            ([5.0, 10.01], "t=10.01 is not a lattice level"),  # the largest T, before the grid's checks
+            ([0.0], "the largest T must be positive, got T=0"),
         ],
     )
     def test_bad_T_is_rejected_before_the_pass(self, T_ladder, message, bump_data, pass_calls):
@@ -397,6 +402,21 @@ class TestVerifyApriori:
         assert pass_calls == []
         verify_apriori(params, bump_data, 0.05, [5.0, 10.0])
         assert len(pass_calls) == 1  # the spy sees a valid ladder's pass
+
+    @pytest.mark.parametrize(
+        "a, eps, test_field",
+        [
+            (-0.5, 1e160, "free"),  # ||U||^p overflows
+            (-0.5, 1e80, "picard_U2"),  # ||U||^p overflows, ||U|| does not
+            (-0.5, 1e160, "picard_U2"),  # ||U|| overflows
+            (0.0, 1e160, "picard_U2"),  # a = 0, R = 1, but U = 0 where w is singular
+        ],
+    )
+    def test_overflow_is_rejected_naming_eps(self, a, eps, test_field, bump_data):
+        params = ModelParams(2.0, a, 0.0, eps, 1.0)
+        message = re.escape(f"the weighted norms overflow at T=5 for eps={eps:g}")
+        with pytest.raises(ValueError, match=message):
+            verify_apriori(params, bump_data, 0.1, [5.0, 10.0], test_field)
 
     def test_validation(self, bump_data):
         params = ModelParams(2.0, 0.5, 0.0, 0.01, 1.0)
@@ -533,7 +553,13 @@ class TestCli:
         assert calls == []
 
     @pytest.mark.parametrize(
-        "T, message", [(["-5", "10"], "finite and >= 0"), (["5.01", "10"], "not a lattice level")]
+        "T, message",
+        [
+            (["-5", "10"], "finite and >= 0"),
+            (["5.01", "10"], "not a lattice level"),
+            (["0.05", "--h", "0.1"], "t=0.05 is not a lattice level"),
+            (["0"], "the largest T must be positive, got T=0"),
+        ],
     )
     def test_bad_apriori_T_exits_1_before_the_pass(self, T, message, capsys, monkeypatch):
         calls = []
@@ -634,13 +660,23 @@ class TestCli:
         assert run_cli(["solve", "--config", str(path)]) == 1
         assert message in capsys.readouterr().err
 
-    def test_singular_apriori_weight_exits_1(self, capsys):
-        argv = ["verify-apriori", "--p", "2", "--a", "0", "--b", "0", "--eps", "0.01", "--R", "1",
-                "--h", "0.1", "--T", "5", "10"]
-        assert run_cli(argv) == 1
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--p", "2", "--a", "0", "--b", "0", "--eps", "0.01", "--R", "1", "--h", "0.1",
+              "--T", "5", "10"], "weight w is singular"),
+            (["--a", "-0.5", "--eps", "1e160"], "the weighted norms overflow at T=10 for eps=1e+160"),
+            (["--a", "-0.5", "--eps", "1e80", "--field", "picard_U2"],
+             "the weighted norms overflow at T=10 for eps=1e+80"),
+            (["--a", "-0.5", "--eps", "1e160", "--field", "picard_U2"],
+             "the weighted norms overflow at T=10 for eps=1e+160"),
+        ],
+    )
+    def test_unbounded_apriori_norm_exits_1(self, flags, message, capsys):
+        assert run_cli(["verify-apriori", *flags]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "weight w is singular" in captured.err
+        assert message in captured.err
 
     def test_missing_config_file_exits_1(self, tmp_path, monkeypatch):
         monkeypatch.setattr("wavelifespan.harness.march", self.no_march)

@@ -358,6 +358,15 @@ class TestBlowup:
         assert lo == pytest.approx(1e6)
         assert hi == pytest.approx(3e6)
 
+    def test_overflowing_seed_blows_up_at_level_1(self, bump_data):
+        # |eps g|^p overflows on level 0 itself; the seed level runs inside the
+        # level loop's errstate, so this warns nothing (pytest makes a RuntimeWarning an error)
+        params = ModelParams(2.0, 0.0, 0.0, 1e200, 1.0)
+        field, est = march(params, bump_data, GridSpec(h=0.05, t_max=1.0, pad=1.0))
+        assert est.status is Status.blowup
+        assert est.T_blow == pytest.approx(0.025)
+        assert field.n_levels_done == 0 and len(est.sup_history) == 2
+
     def test_field_truncated_at_last_resolved_level(self, bump_data):
         params = ModelParams(2.0, -1.0, -1.0, 0.5, 1.0)
         grid = GridSpec(h=0.1, t_max=10.0, pad=1.0)
