@@ -362,7 +362,18 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "blowup-seq":
             if args.eps < 0:
                 raise ValueError("epsilon must be >= 0")
-            M1 = args.M1 if args.M1 is not None else args.eps**args.p
+            M1 = args.M1
+            if M1 is None:
+                try:
+                    M1 = args.eps**args.p
+                except OverflowError:
+                    M1 = math.inf
+                # past the float range eps^p overflows or underflows to 0
+                if 1 < args.p < math.inf and not 0 < M1 < math.inf:
+                    raise ValueError(
+                        f"the default M1 = eps^p = {M1:g} is not positive and finite "
+                        f"at eps={args.eps:g}, p={args.p:g}; give --M1"
+                    )
             states = theory.blowup_sequence(args.p, args.n, M1, a=args.a, b=args.b)
             for s in states:
                 print(f"n={s.n} a_n={s.a_n} log_M_n={s.log_M_n:.6g}")

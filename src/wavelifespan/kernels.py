@@ -145,7 +145,7 @@ def weight_w(x, t, params: ModelParams):
         out **= 1.0 + a
     if a <= 0:
         # the columns where some node leaves chi; a scalar is its own column
-        cols = (..., ~np.all(chi, axis=tuple(range(chi.ndim - 1)))) if chi.ndim else ()
+        cols = (..., ~chi.all(axis=tuple(range(chi.ndim - 1)))) if chi.ndim else ()
         xo, to = (np.broadcast_to(v, chi.shape)[cols] for v in (x, t))
         if a == 0:
             with np.errstate(divide="ignore"):

@@ -135,9 +135,9 @@ def leapfrog_solve(
     sup_history = []
     with np.errstate(over="ignore", invalid="ignore"):
         for n, (_, ut, new) in enumerate(islice(_levels(params, data, x, dx, dt), n_t + 1)):
-            sup_ut = float(np.max(np.abs(ut)))
+            sup_ut = float(np.abs(ut).max())
             sup_history.append(sup_ut)
-            if n >= 2 and (not np.all(np.isfinite(new)) or sup_ut > blow_threshold):
+            if n >= 2 and (not np.isfinite(new).all() or sup_ut > blow_threshold):
                 cause = Cause.threshold_exceeded
                 t = (n - 1) * dt  # the step from level n - 1 failed
                 T_blow = t - 0.5 * dt
@@ -176,10 +176,10 @@ def compare_fields(
     times_l = dt * np.arange(1, leapfrog.n_levels - 1)  # times of the centered u_t levels
     xs = grid.x_nodes()
     xmask = (xs >= x_lo) & (xs <= x_hi)
-    if not np.any(xmask):
+    if not xmask.any():
         raise ValueError("empty comparison window")
     ix_leap = np.rint((xs[xmask] - leapfrog.x[0]) / leapfrog.dx).astype(int)
-    if np.any(ix_leap < 0) or np.any(ix_leap >= leapfrog.x.size):
+    if (ix_leap < 0).any() or (ix_leap >= leapfrog.x.size).any():
         raise ValueError("window exceeds the leapfrog domain")
 
     replay = enumerate(leapfrog.rows())
@@ -203,7 +203,7 @@ def compare_fields(
         k1 = min(k + 1, len(times_l) - 1)
         frac = (t - times_l[k]) / dt
         ut_here = (1.0 - frac) * centred_u_t(k) + frac * centred_u_t(k1)
-        diff = np.max(np.abs(levels[n, xmask] - ut_here))
+        diff = np.abs(levels[n, xmask] - ut_here).max()
         worst = diff if worst is None else max(worst, diff)
     if worst is None:
         raise ValueError("empty comparison window")

@@ -69,17 +69,17 @@ def _solve_level(
     """
     with np.errstate(divide="ignore"):
         z_m = (p * gamma) ** (-1.0 / (p - 1.0))
-    if np.any(base > z_m * (1.0 - 1.0 / p) * (1.0 + 1e-12)):
+    if (base > z_m * (1.0 - 1.0 / p) * (1.0 + 1e-12)).any():
         return base, Cause.no_root
     z = base
     for _ in range(inner_max):
         az = np.abs(z)
-        scale = np.max(az)
+        scale = az.max()
         if not np.isfinite(scale) or scale > blow_threshold:
             return z, Cause.threshold_exceeded
         gz = gamma * az ** (p - 1.0)
         phi = base + gz * az - z
-        if np.all(np.abs(phi) <= inner_tol * np.maximum(az, 1.0)):
+        if (np.abs(phi) <= inner_tol * np.maximum(az, 1.0)).all():
             return z, None
         z = z - phi / (p * gz * np.sign(z) - 1.0)
     return z, Cause.inner_max_exhausted
@@ -93,8 +93,8 @@ def _masked_weighted_sup(U: np.ndarray, w: np.ndarray):
     applied only when some w is not.  The product is built in place of |U|.
     """
     v = np.abs(U)
-    v *= w if np.max(w, initial=0.0) < np.inf else np.where(U == 0.0, 0.0, w)
-    return np.max(v, axis=-1, initial=0.0)
+    v *= w if w.max(initial=0.0) < np.inf else np.where(U == 0.0, 0.0, w)
+    return v.max(axis=-1, initial=0.0)
 
 
 def march(
@@ -139,7 +139,7 @@ def march(
                     F = np.abs(z) ** p * gamma
                     plus += F  # views: scatter along both characteristic diagonals
                     minus += F
-            sup_history.append(float(np.max(np.abs(z))))
+            sup_history.append(float(np.abs(z).max()))
             if cause is not None:
                 T_blow = t - 0.5 * h
                 break
@@ -237,7 +237,7 @@ def apriori_profiles(
         for n0, slices, xa, t, B in _level_blocks(params, data, grid, grid.n_t):
             rows = slice(n0, n0 + len(slices))
             w = weight_w(xa, t, params)
-            cols = np.any(B != 0.0, axis=0)
+            cols = (B != 0.0).any(axis=0)
             absB = np.abs(B[:, cols])
             W_cols = nonlinear_weight(xa[cols], t, params)
             source = np.zeros_like(B)
@@ -300,15 +300,15 @@ def picard_iterate(
             U = np.zeros_like(B)  # U_1 = 0
             for j, acc in enumerate(accs, start=1):
                 source = np.abs(U + B) ** params.p
-                if not np.all(np.isfinite(source)):
+                if not np.isfinite(source).all():
                     bad = min(bad, 2 * j)
                     break
                 U_next = _explicit_block(acc, n0, slices, source * W)
-                if not np.all(np.isfinite(U_next)):
+                if not np.isfinite(U_next).all():
                     bad = min(bad, 2 * j + 1)
                     break
-                diffs[j - 1] = max(diffs[j - 1], np.max(_masked_weighted_sup(U_next - U, w)))
-                norms[j] = max(norms[j], np.max(_masked_weighted_sup(U_next, w)))
+                diffs[j - 1] = max(diffs[j - 1], _masked_weighted_sup(U_next - U, w).max())
+                norms[j] = max(norms[j], _masked_weighted_sup(U_next, w).max())
                 U = U_next
             LO, HI = slices[-1]
             final[n0 : n0 + len(slices), LO : HI + 1] = U
@@ -342,7 +342,7 @@ def pde_residual(u: np.ndarray, field: CharField, params: ModelParams) -> float:
     d_xx = (u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]) / h**2
     W = nonlinear_weight(x[None, :], t[:, None], params)
     res = d_tt - d_xx - np.abs(U[1:-1, 1:-1]) ** params.p * W
-    return float(np.max(np.abs(res)))
+    return float(np.abs(res).max())
 
 
 def dump_field_csv(field: CharField, fh: TextIO) -> None:

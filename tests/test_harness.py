@@ -620,6 +620,20 @@ class TestCli:
         assert run_cli(["blowup-seq", "--eps", "-0.1", "--p", "2.5"]) == 1
         assert "epsilon must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps, M1", [("1e200", "inf"), ("1e-200", "0")])
+    def test_blowup_seq_epsilon_past_the_default_M1_range_exits_1(self, eps, M1, capsys, monkeypatch):
+        # eps^p overflows at 1e200 and underflows to 0 at 1e-200
+        calls = []
+        monkeypatch.setattr("wavelifespan.theory.blowup_sequence", lambda *args, **kwargs: calls.append(args))
+        assert run_cli(["blowup-seq", "--eps", eps, "--p", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the default M1 = eps^p = {M1} is not positive and finite "
+            f"at eps={float(eps):g}, p=2; give --M1\n"
+        )
+        assert calls == []
+
     def test_zero_norm_apriori_T_exits_1(self, capsys):
         argv = ["verify-apriori", "--a", "-0.5", "--eps", "0.01", "--h", "0.1", "--T", "0", "5",
                 "--field", "picard_U2"]

@@ -9,7 +9,12 @@ ALIGN_TOL, the tolerance of core.lattice_index, the one home of the
 lattice-alignment rule; so does kernels.py, solver.py or harness.py
 calling round, floor, ceil or rint, since only core rounds onto the march
 lattice (oracle.py keeps a leapfrog grid of its own); so does oracle.py
-importing from solver or harness, the code it exists to check.
+importing from solver or harness, the code it exists to check; so does
+solver.py or oracle.py calling np.max, min, all, any or sum, where every
+reduction runs per level, per block or per step: the function form passes
+through numpy's Python wrapper (fromnumeric._wrapreduction), about 1 us a
+call on top of the reduction itself under numpy 2.4.6, and a.max() runs the
+same ufunc reduce without it.
 
 A public definition has a user: every public top-level function or class
 is named by an identifier somewhere in src/ or bench/, by a string constant
@@ -156,6 +161,24 @@ def lattice_rounding_calls(source: str) -> list:
     return sorted(lines)
 
 
+REDUCTIONS = {"max", "min", "all", "any", "sum"}
+
+
+def function_form_reductions(source: str) -> list:
+    """Lines that call max, min, all, any or sum of np or numpy."""
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in REDUCTIONS
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+        }
+    )
+
+
 def private_imports(source: str) -> list:
     """Names with one leading underscore that a from-import binds."""
     return [
@@ -230,6 +253,12 @@ def test_only_core_rounds_onto_the_lattice(name):
     assert lattice_rounding_calls(path.read_text()) == []
 
 
+@pytest.mark.parametrize("name", ["solver.py", "oracle.py"])
+def test_per_level_reductions_are_array_methods(name):
+    path = next(m for m in MODULES if m.name == name)
+    assert function_form_reductions(path.read_text()) == []
+
+
 def test_oracle_imports_nothing_it_checks():
     oracle = next(m for m in MODULES if m.name == "oracle.py")
     assert checked_code_imports(oracle.read_text()) == []
@@ -263,6 +292,7 @@ def test_checks_flag_what_they_should():
         "    def u(self): pass\n"
         "i = round(x / h) + np.rint(y) + math.floor(z) + numpy.ceil(w)\n"
         "j = np.round(x) + abs(x) + np.floor_divide(x, h)\n"
+        "k = np.max(x) + numpy.any(y, axis=0) + x.max() + max(x, y) + np.maximum(x, y) + np.abs(x)\n"
     )
     patched = string_constants(
         "['_level_blocks', '__doc__', 'march', 'harness', 'kernels', 'wavelifespan']"
@@ -282,5 +312,6 @@ def test_checks_flag_what_they_should():
         "line 24: Shadowed.u",
     ]
     assert lattice_rounding_calls(source) == [25, 26]
+    assert function_form_reductions(source) == [27]
     core = next(m for m in MODULES if m.name == "core.py")
     assert align_tol_reads(core.read_text()) != []

@@ -30,6 +30,7 @@ from wavelifespan.kernels import (
     weight_w,
 )
 from wavelifespan.solver import (
+    _masked_weighted_sup,
     _solve_level,
     apply_duhamel_field,
     dump_field_csv,
@@ -155,6 +156,29 @@ class TestSolveLevel:
         assert cause is Cause.inner_max_exhausted
 
 
+
+class TestMaskedWeightedSup:
+    """sup |w U| over the last axis, with w*0 taken as 0 where w is infinite."""
+
+    def test_one_dimensional(self):
+        U = np.array([1.0, -2.0, 0.5])
+        assert _masked_weighted_sup(U, np.array([0.5, 0.25, 3.0])) == 1.5
+        # an infinite weight on a zero node adds 0
+        assert _masked_weighted_sup(U * [0.0, 1.0, 1.0], np.array([np.inf, 0.25, 3.0])) == 1.5
+        assert _masked_weighted_sup(np.zeros(2), np.array([np.inf, 2.0])) == 0.0
+        # on a nonzero node it is the sup
+        assert _masked_weighted_sup(U, np.array([np.inf, 0.25, 3.0])) == np.inf
+        assert _masked_weighted_sup(np.zeros(0), np.zeros(0)) == 0.0
+
+    def test_rows_of_a_block(self):
+        U = np.array([[1.0, -2.0, 0.5], [0.0, -2.0, 0.5], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        w = np.array([[0.5, 0.25, 3.0], [np.inf, 0.25, 3.0], [np.inf, 1.0, 1.0], [np.inf, 1.0, 1.0]])
+        assert np.array_equal(_masked_weighted_sup(U, w), [1.5, 1.5, 0.0, np.inf])
+        # finite w takes the unmasked product
+        assert np.array_equal(_masked_weighted_sup(U[:1], w[:1]), [1.5])
+        assert np.array_equal(_masked_weighted_sup(np.zeros((2, 0)), np.zeros((2, 0))), [0.0, 0.0])
+
+
 class TestGoldenLifespan:
     """Status, T_blow and level count of fixed marches, pinned to their first recorded values."""
 
@@ -178,6 +202,38 @@ class TestGoldenLifespan:
         assert est.status is Status.blowup
         assert est.T_blow == pytest.approx(T_blow, abs=1e-12)
         assert len(est.sup_history) == n_sup
+
+
+
+class TestGoldenSupHistory:
+    """sup |U| of the marches of TestGoldenLifespan at level 1, at the middle
+    level and at the last resolved one, pinned to their first recorded values."""
+
+    @pytest.mark.parametrize(
+        "p, a, b, eps, h, amplitudes, t_max, n_done, sups",
+        [
+            (2.0, -0.5, 0.0, 0.35, 0.05, None, 80.0, 1399,
+             (0.351028425635829, 0.5685498214638842, 199.53379789658806)),
+            (2.0, -0.5, -3.0, 0.35, 0.05, None, 20.0, 259,
+             (0.3575084211386166, 0.27978510144302415, 0.35405091426450525)),
+            (3.0, -1.0, -1.0, 0.5, 0.025, None, 20.0, 563,
+             (0.5022000349068099, 0.3683039920448566, 3.668598763234732)),
+            (2.0, -0.5, 0.0, 0.35, 0.025, (0.7, 1.0), 40.0, 1194,
+             (0.3142857040229478, 0.9122838020281137, 290.8365105104337)),
+            (1.5, -0.5, 0.0, 0.6, 0.05, None, 40.0, 585,
+             (0.6094984300080678, 2.872113028491225, 21855.92996955254)),
+        ],
+    )
+    def test_pinned_sups(self, p, a, b, eps, h, amplitudes, t_max, n_done, sups):
+        if amplitudes is None:
+            data = InitialData(Family.bump, 0.0, 1.0, 1.0)
+        else:
+            data = InitialData(Family.bump_pair, *amplitudes, 1.0)
+        grid = GridSpec(h=h, t_max=t_max, pad=1.0)
+        field, est = march(ModelParams(p, a, b, eps, 1.0), data, grid, keep_field=False)
+        assert field.n_levels_done == n_done
+        got = [est.sup_history[n] for n in (1, n_done // 2, n_done)]
+        assert got == pytest.approx(list(sups), rel=1e-12, abs=0.0)
 
 
 class TestSeededAccumulator:
