@@ -16,7 +16,7 @@ from .core import (
     load_config_file,
     validate,
 )
-from .solver import PicardReport, march, picard_iterate, pde_residual, reconstruct_u
+from .solver import PicardReport, march, march_ladder, picard_iterate, pde_residual, reconstruct_u
 from .oracle import compare_fields, leapfrog_solve
 from .theory import (
     K1,
@@ -62,6 +62,7 @@ __all__ = [
     "load_config_file",
     "make_epsilon_ladder",
     "march",
+    "march_ladder",
     "pde_residual",
     "phase_diagram",
     "picard_iterate",

@@ -7,7 +7,6 @@ import argparse
 import contextlib
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -26,7 +25,8 @@ from .core import (
 )
 # the benchmark wraps free_solution_dt and apply_duhamel_field at these names
 from .kernels import free_solution_dt  # noqa: F401
-from .solver import apply_duhamel_field, apriori_profiles, dump_field_csv, march  # noqa: F401
+from .solver import apply_duhamel_field  # noqa: F401
+from .solver import apriori_profiles, dump_field_csv, march, march_ladder
 
 RESOLVE_TOL = 0.05
 EXP_REACH = 1e4  # in units of R: longer exponential-regime lifespans are not marched
@@ -96,11 +96,14 @@ def sweep(
     ladder: Sequence[float],
     threads: int = 1,
 ) -> SweepResult:
-    """Run march at h and h/2 for each epsilon; entries sorted ascending.
+    """March every epsilon at h and h/2; entries sorted ascending.
 
-    params.epsilon is ignored.  A rung whose march raises, or an
-    exponential-regime rung predicted past EXP_REACH * R, becomes an error
-    entry (out_of_numerical_reach for the latter).
+    params.epsilon is ignored.  Every rung is validated first: one that
+    fails validation, or an exponential-regime rung predicted past
+    EXP_REACH * R (out_of_numerical_reach), becomes an error entry.  The
+    other rungs march in lockstep, one march_ladder per grid; threads > 1
+    splits them into that many contiguous groups, each marched in lockstep
+    on a pool of threads.
     """
     if len(ladder) == 0:
         raise ValueError("empty epsilon ladder")
@@ -115,38 +118,50 @@ def sweep(
 
     ladder = sorted(float(e) for e in ladder)
     exponential, _ = theory.lifespan_rate(params.p, params.a, params.b)
+    fine = GridSpec(h=grid.h / 2.0, t_max=grid.t_max, pad=grid.pad)
 
-    def run_one(eps: float) -> SweepEntry:
-        pe = ModelParams(params.p, params.a, params.b, eps, params.R)
+    def error_of(eps: float) -> Optional[str]:
+        try:
+            for g in (grid, fine):
+                require_valid(replace(params, epsilon=eps), data, g)
+        except ValueError as exc:
+            return str(exc)
         predicted = theory.lifespan_bound(params.p, params.a, params.b, eps, 1.0)
         if exponential and predicted > EXP_REACH * params.R:
-            return SweepEntry(eps, None, None, False, error="out_of_numerical_reach")
-        try:
-            _, est_h = march(pe, data, grid, keep_field=False)
-            fine = GridSpec(h=grid.h / 2.0, t_max=grid.t_max, pad=grid.pad)
-            _, est_h2 = march(pe, data, fine, keep_field=False)
-        except Exception as exc:  # per-epsilon failures never abort the sweep
-            return SweepEntry(eps, None, None, False, error=str(exc))
-        resolved = False
-        if est_h.T_blow is not None and est_h2.T_blow is not None and est_h2.T_blow > 0:
-            resolved = abs(est_h.T_blow - est_h2.T_blow) / est_h2.T_blow < RESOLVE_TOL
-        return SweepEntry(eps, est_h, est_h2, resolved)
+            return "out_of_numerical_reach"
+        return None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(run_one, ladder))
+    entries = [SweepEntry(eps, None, None, False, error=error_of(eps)) for eps in ladder]
+    todo = [e for e in entries if e.error is None]
+
+    def run(group: list) -> None:
+        eps = [e.epsilon for e in group]
+        at_h = march_ladder(params, data, grid, eps, keep_field=False)
+        at_h2 = march_ladder(params, data, fine, eps, keep_field=False)
+        for e, (_, est_h), (_, est_h2) in zip(group, at_h, at_h2):
+            e.est_h, e.est_h2 = est_h, est_h2
+            if est_h.T_blow is not None and est_h2.T_blow is not None and est_h2.T_blow > 0:
+                e.resolved = abs(est_h.T_blow - est_h2.T_blow) / est_h2.T_blow < RESOLVE_TOL
+
+    n_groups = min(threads, len(todo))
+    if n_groups > 1:
+        from concurrent.futures import ThreadPoolExecutor  # here only: a serial sweep never loads it
+
+        cuts = [len(todo) * j // n_groups for j in range(n_groups + 1)]
+        with ThreadPoolExecutor(max_workers=n_groups) as pool:
+            list(pool.map(run, [todo[i:j] for i, j in zip(cuts, cuts[1:])]))
     else:
-        entries = [run_one(e) for e in ladder]
+        run(todo)
     return SweepResult(entries=entries)
 
 
 def fit_exponent(
     pairs: Sequence[tuple[float, float]], mode: str = "power", rate: float = 1.0
 ) -> FitReport:
-    """Least-squares fit of the lifespan scaling.
+    """Least-squares line through (X, log T), in closed form.
 
-    power: log T on log eps (slope estimates minus the lifespan exponent).
-    exponential: log T on eps^-rate (slope estimates the constant in the
+    power: X = log eps (slope estimates minus the lifespan exponent).
+    exponential: X = eps^-rate (slope estimates the constant in the
     exponential lifespan law; pass the regime's rate from
     theory.lifespan_rate, p-1 or p(p-1)).  ValueError unless there are
     3 valid pairs and 2 distinct epsilon among them, and, for exponential,
@@ -156,7 +171,7 @@ def fit_exponent(
     if len(pairs) < 3:
         raise ValueError("need at least 3 valid (epsilon, T) pairs")
     eps = np.array([e for e, _ in pairs])
-    if np.unique(eps).size < 2:
+    if not eps.min() < eps.max():
         raise ValueError("need at least 2 distinct epsilon values")
     T = np.array([t for _, t in pairs])
     if mode == "power":
@@ -166,17 +181,18 @@ def fit_exponent(
             raise ValueError(f"the exponential fit needs a finite rate > 0, got rate={rate:g}")
         with np.errstate(over="ignore"):
             X = eps ** (-rate)
-        if not np.all(np.isfinite(X)):
+        if not np.isfinite(X).all():
             raise ValueError(f"eps^-rate is not finite for eps={eps.min():g} at rate={rate:g}")
     else:
         raise ValueError(f"unknown fit mode {mode!r}")
     Y = np.log(T)
-    slope, intercept = np.polyfit(X, Y, 1)
-    pred = slope * X + intercept
-    ss_res = float(np.sum((Y - pred) ** 2))
-    ss_tot = float(np.sum((Y - np.mean(Y)) ** 2))
+    dX, dY = X - X.mean(), Y - Y.mean()
+    slope = float((dX * dY).sum() / (dX * dX).sum())
+    intercept = float(Y.mean() - slope * X.mean())
+    ss_res = float(((dY - slope * dX) ** 2).sum())
+    ss_tot = float((dY**2).sum())
     r2 = 1.0 if ss_tot == 0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return FitReport(mode=mode, slope=float(slope), intercept=float(intercept), r2=r2, n_points=len(pairs))
+    return FitReport(mode=mode, slope=slope, intercept=intercept, r2=r2, n_points=len(pairs))
 
 
 def verify_apriori(

@@ -8,16 +8,18 @@ with the halves of the free data that travel along each family, the two
 sums through a node add up to eps*u_t0 plus the trapezoid over the levels
 below it.  march resolves the s = t endpoint, which couples a node to
 itself, by one vectorised Newton iteration per level after a closed-form
-fold test has ruled out blow-up.  The explicit passes, apriori_profiles and
-picard_iterate, stream their L' through the level blocks of _level_blocks;
-picard_iterate stores only its last iterate, in one field plus
-O(j_max (n_x + n_t)), and none when the sequence diverged.
+fold test has ruled out blow-up; march_ladder marches several epsilons in
+lockstep, sharing each level's slice, weight and fold cap.  The explicit
+passes, apriori_profiles and picard_iterate, stream their L' through the
+level blocks of _level_blocks; picard_iterate stores only its last
+iterate, in one field plus O(j_max (n_x + n_t)), and none when the
+sequence diverged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, TextIO
+from dataclasses import dataclass, field, replace
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -45,9 +47,22 @@ INNER_TOL = 1e-12
 INNER_MAX = 50
 
 
+def _fold_cap(gamma: np.ndarray, p: float) -> np.ndarray:
+    """Largest base for which z = base + gamma*|z|^p has a root, widened by 1e-12.
+
+    For base > 0 a root exists iff base <= z_m (1 - 1/p) with
+    z_m = (p*gamma)^{-1/(p-1)}; crossing that fold is the blow-up test.
+    The cap does not depend on epsilon, so every rung of a ladder shares it.
+    """
+    with np.errstate(divide="ignore"):
+        z_m = (p * gamma) ** (-1.0 / (p - 1.0))
+    return z_m * (1.0 - 1.0 / p) * (1.0 + 1e-12)
+
+
 def _solve_level(
     base: np.ndarray,
     gamma: np.ndarray,
+    cap: np.ndarray,
     p: float,
     inner_tol: float,
     inner_max: int,
@@ -56,20 +71,16 @@ def _solve_level(
     """Solve z = base + gamma*|z|^p nodewise; returns (z, cause).
 
     cause is None when every node resolved, no_root when some node is past
-    the fold, threshold_exceeded when |z| escaped blow_threshold or turned
-    non-finite, and inner_max_exhausted when z is finite but unconverged
-    after inner_max Newton steps.
+    the fold (base > cap, the _fold_cap of gamma), threshold_exceeded when
+    |z| escaped blow_threshold or turned non-finite, and inner_max_exhausted
+    when z is finite but unconverged after inner_max Newton steps.
 
-    For base > 0 a root exists iff base <= z_m (1 - 1/p) with
-    z_m = (p*gamma)^{-1/(p-1)}; crossing that fold is the blow-up test.
-    Otherwise phi(z) = base + gamma*|z|^p - z is convex with
+    Short of the fold, phi(z) = base + gamma*|z|^p - z is convex with
     phi(base) = gamma*|base|^p >= 0, so Newton from z = base climbs
     monotonically to the smallest root, for either sign of base.  A node
     has converged once |phi(z_i)| <= inner_tol * max(1, |z_i|).
     """
-    with np.errstate(divide="ignore"):
-        z_m = (p * gamma) ** (-1.0 / (p - 1.0))
-    if (base > z_m * (1.0 - 1.0 / p) * (1.0 + 1e-12)).any():
+    if (base > cap).any():
         return base, Cause.no_root
     z = base
     for _ in range(inner_max):
@@ -97,6 +108,97 @@ def _masked_weighted_sup(U: np.ndarray, w: np.ndarray):
     return v.max(axis=-1, initial=0.0)
 
 
+class _Rung:
+    """One epsilon's march in march_ladder: its accumulator, threshold and records."""
+
+    def __init__(
+        self, params: ModelParams, data: InitialData, grid: GridSpec, keep_field: bool, track: bool
+    ):
+        require_valid(params, data, grid)
+        self.blow_threshold = default_blow_threshold(params, data)
+        self.acc = CharAccumulator.seeded(data, grid, params.epsilon)
+        self.levels = np.zeros((grid.n_t + 1, grid.n_x)) if keep_field else None
+        self.est = LifespanEstimate(
+            T_blow=None, h=grid.h, weighted_sup_history=[] if track else None
+        )
+        self.n_done = 0
+
+
+def march_ladder(
+    params: ModelParams,
+    data: InitialData,
+    grid: GridSpec,
+    epsilons: Sequence[float],
+    keep_field: bool = True,
+    track_weighted_sup: bool = False,
+) -> list[tuple[CharField, LifespanEstimate]]:
+    """March one rung per epsilon in lockstep; one (field, estimate) per rung, in order.
+
+    params.epsilon is ignored, and every rung is validated before the first
+    level.  A level's active slice, weight and fold cap do not depend on
+    epsilon, so they are taken once for all live rungs; each rung then
+    solves, scatters and records its own level and leaves the loop at its
+    own detection level, so its results are bitwise those of its own march.
+
+    Level 0 is the seed eps*u_t0; Newton solves each later level to
+    INNER_TOL within INNER_MAX steps; |U| past default_blow_threshold is
+    blow-up.
+    """
+    rungs = [
+        _Rung(replace(params, epsilon=eps), data, grid, keep_field, track_weighted_sup)
+        for eps in epsilons
+    ]
+    h, p, R = grid.h, params.p, params.R
+    c = 0.5 * h  # the trapezoid factor of every rung's accumulator
+    x = grid.x_nodes()
+    live = rungs
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(grid.n_t + 1):
+            if not live:
+                break
+            t = n * h
+            lo, hi = grid.active_slice(n, R)
+            xa = x[lo : hi + 1]
+            if n == 0:  # the seed's weight W
+                W = nonlinear_weight(xa, t, params)
+            else:  # gamma = c*W; W kept alive through the solve measured slower
+                gamma = c * nonlinear_weight(xa, t, params)
+                cap = _fold_cap(gamma, p)
+            w = None  # weight_w, taken at the level's first resolved rung
+            for rung in live:
+                acc, est = rung.acc, rung.est
+                plus, minus = acc.diagonals(n, lo, hi)
+                if n == 0:  # the seed: level 0 has no history, so no endpoint to solve
+                    z = acc.explicit_step(0, lo, hi, np.abs(plus + minus) ** p * W)
+                else:
+                    z, est.cause = _solve_level(
+                        plus + minus, gamma, cap, p, INNER_TOL, INNER_MAX, rung.blow_threshold
+                    )
+                    if est.cause is None:
+                        F = np.abs(z) ** p * gamma
+                        plus += F  # views: scatter along both characteristic diagonals
+                        minus += F
+                est.sup_history.append(float(np.abs(z).max()))
+                if est.cause is not None:
+                    est.T_blow = t - 0.5 * h
+                    continue
+                if keep_field:
+                    rung.levels[n, lo : hi + 1] = z
+                if track_weighted_sup:
+                    w = weight_w(xa, t, params) if w is None else w
+                    est.weighted_sup_history.append(_masked_weighted_sup(z, w))
+                rung.n_done = n
+            live = [rung for rung in live if rung.est.cause is None]
+
+    out = []
+    for rung in rungs:
+        levels = rung.levels
+        if levels is not None and rung.est.cause is not None:
+            levels = levels[: rung.n_done + 1, :]  # drop the unresolved detection level
+        out.append((CharField(grid=grid, levels=levels, n_levels_done=rung.n_done), rung.est))
+    return out
+
+
 def march(
     params: ModelParams,
     data: InitialData,
@@ -104,62 +206,9 @@ def march(
     keep_field: bool = True,
     track_weighted_sup: bool = False,
 ) -> tuple[CharField, LifespanEstimate]:
-    """March the integral equation level by level until blow-up or t_max.
-
-    Level 0 is the seed eps*u_t0; Newton solves each later level to
-    INNER_TOL within INNER_MAX steps; |U| past default_blow_threshold is
-    blow-up.
-    """
-    require_valid(params, data, grid)
-    blow_threshold = default_blow_threshold(params, data)
-
-    h, p, R = grid.h, params.p, params.R
-    x = grid.x_nodes()
-    acc = CharAccumulator.seeded(data, grid, params.epsilon)
-    levels = np.zeros((grid.n_t + 1, grid.n_x)) if keep_field else None
-    sup_history = []
-    wsup_history = [] if track_weighted_sup else None
-    cause = T_blow = None
-    n_done = 0
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(grid.n_t + 1):
-            t = n * h
-            lo, hi = grid.active_slice(n, R)
-            xa = x[lo : hi + 1]
-            plus, minus = acc.diagonals(n, lo, hi)
-            # each branch takes the weight itself: kept alive through the solve, it measured slower
-            if n == 0:  # the seed: level 0 has no history, so no endpoint to solve
-                G = np.abs(plus + minus) ** p * nonlinear_weight(xa, t, params)
-                z = acc.explicit_step(0, lo, hi, G)
-            else:
-                gamma = acc.c * nonlinear_weight(xa, t, params)
-                z, cause = _solve_level(plus + minus, gamma, p, INNER_TOL, INNER_MAX, blow_threshold)
-                if cause is None:
-                    F = np.abs(z) ** p * gamma
-                    plus += F  # views: scatter along both characteristic diagonals
-                    minus += F
-            sup_history.append(float(np.abs(z).max()))
-            if cause is not None:
-                T_blow = t - 0.5 * h
-                break
-            if keep_field:
-                levels[n, lo : hi + 1] = z
-            if track_weighted_sup:
-                wsup_history.append(_masked_weighted_sup(z, weight_w(xa, t, params)))
-            n_done = n
-
-    if keep_field and cause is not None:
-        levels = levels[: n_done + 1, :]  # drop the unresolved detection level
-    field_out = CharField(grid=grid, levels=levels, n_levels_done=n_done)
-    estimate = LifespanEstimate(
-        T_blow=T_blow,
-        h=h,
-        sup_history=sup_history,
-        cause=cause,
-        weighted_sup_history=wsup_history,
-    )
-    return field_out, estimate
+    """March the integral equation level by level until blow-up or t_max:
+    march_ladder with the one rung params.epsilon."""
+    return march_ladder(params, data, grid, [params.epsilon], keep_field, track_weighted_sup)[0]
 
 
 def apply_duhamel_field(source: np.ndarray, grid: GridSpec, params: ModelParams) -> np.ndarray:

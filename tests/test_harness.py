@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from wavelifespan.harness import (
     verify_apriori,
 )
 from wavelifespan.kernels import CharAccumulator, weight_w
-from wavelifespan.solver import BLOCK, apply_duhamel_field, apriori_profiles
+from wavelifespan.solver import BLOCK, apply_duhamel_field, apriori_profiles, march
 from wavelifespan.theory import D_a, E_ab, lifespan_bound
 
 
@@ -83,6 +84,21 @@ class TestFitExponent:
             fit_exponent([(0.1, 5.0), (0.2, 3.0), (0.3, 2.0)], mode="exponential", rate=400.0)
 
     @pytest.mark.parametrize("mode", ["power", "exponential"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_closed_form_line_equals_polyfit(self, mode, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 12))
+        eps = rng.uniform(0.05, 2.0, n)
+        eps[0] = eps[1]  # a repeated epsilon is one more point on the line
+        X = np.log(eps) if mode == "power" else eps**-1.5
+        T = np.exp(rng.uniform(1.0, 3.0) + rng.uniform(-2.5, 2.5) * X + rng.normal(0.0, 0.05, n))
+        report = fit_exponent(list(zip(eps, T)), mode=mode, rate=1.5)
+        slope, intercept = np.polyfit(X, np.log(T), 1)
+        assert report.slope == pytest.approx(slope, rel=1e-12)
+        assert report.intercept == pytest.approx(intercept, rel=1e-12)
+        assert report.n_points == n
+
+    @pytest.mark.parametrize("mode", ["power", "exponential"])
     def test_rejects_a_single_distinct_epsilon(self, mode):
         # one epsilon repeated has no slope; polyfit would return one anyway
         with pytest.raises(ValueError, match="2 distinct epsilon"):
@@ -138,6 +154,69 @@ class TestSweep:
         result = sweep(params, bump_data, grid, [0.05])
         assert result.entries[0].error == "out_of_numerical_reach"
         assert not result.entries[0].blew_up()
+
+
+# one (p, a, b) per blow-up regime, then p = 1.5 and p = 3; each ladder has a
+# rung that fails validation, one that survives to t_max at h, and blow-ups
+# detected at different levels
+LADDERS = [
+    ((2.0, -0.5, 0.0), [-0.1, 0.3, 0.9, 1.2]),  # poly_a
+    ((2.0, -0.5, -3.0), [-0.1, 0.1, 0.4, 0.7, 1.0]),  # poly_pab
+    ((2.0, 0.0, 0.0), [-0.1, 0.5, 2.0, 3.0]),  # exp_p_minus_1
+    ((2.0, 0.5, -3.0), [-0.1, 1.0, 1.6, 2.0, 3.0]),  # exp_p_p_minus_1
+    ((1.5, -1.0, -1.0), [-0.1, 0.02, 0.3, 0.8, 1.2]),
+    ((3.0, -0.5, -3.0), [-0.1, 0.2, 0.7, 1.0, 1.5]),
+]
+
+
+class TestLockstepLadder:
+    """sweep marches each grid's ladder in lockstep, bitwise as rung-by-rung marches."""
+
+    @pytest.mark.parametrize("pab, ladder", LADDERS)
+    def test_equals_one_march_per_rung(self, pab, ladder, bump_data):
+        params = ModelParams(*pab, 0.0, 1.0)
+        grid = GridSpec(h=0.1, t_max=20.0, pad=1.0)
+        fine = GridSpec(h=0.05, t_max=20.0, pad=1.0)
+        result = sweep(params, bump_data, grid, ladder)
+        invalid, *entries = result.entries
+        assert invalid.error == "invalid configuration: epsilon must be >= 0"
+        detected = set()
+        for e in entries:
+            for est, g in ((e.est_h, grid), (e.est_h2, fine)):
+                _, ref = march(replace(params, epsilon=e.epsilon), bump_data, g, keep_field=False)
+                assert est.cause is ref.cause and est.T_blow == ref.T_blow
+                assert np.array(est.sup_history).tobytes() == np.array(ref.sup_history).tobytes()
+            detected.add(len(e.est_h.sup_history) if e.blew_up() else None)
+        assert None in detected and len(detected) >= 3  # a survivor and two detection levels
+        csv = result.to_csv()
+        alone = [sweep(params, bump_data, grid, [e.epsilon]).to_csv().splitlines() for e in result.entries]
+        assert csv.splitlines() == alone[0][:1] + [lines[1] for lines in alone]
+        assert sweep(params, bump_data, grid, ladder, threads=2).to_csv() == csv
+
+
+def test_serial_sweep_and_fit_load_neither_numpy_ma_nor_a_thread_pool():
+    # np.unique would import numpy.ma, and the pool concurrent.futures with logging
+    src = str(Path(wavelifespan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import runpy, sys, wavelifespan\n"
+        "from wavelifespan.core import Family, GridSpec, InitialData, ModelParams\n"
+        "from wavelifespan.harness import fit_exponent, sweep\n"
+        "result = sweep(ModelParams(2.0, -1.0, -1.0, 0.0, 1.0), InitialData(Family.bump, 0.0, 1.0, 1.0),\n"
+        "               GridSpec(h=0.1, t_max=8.0, pad=1.0), [0.5, 0.7, 1.0])\n"
+        "fit_exponent(result.blowup_pairs())\n"
+        "sys.argv = ['wavelifespan', 'sweep', '--a', '-1', '--b', '-1', '--h', '0.1', '--tmax', '40',\n"
+        "            '--t-lo', '5', '--t-hi', '10', '--n-eps', '3', '--fit', 'power']\n"
+        "try:\n"
+        "    runpy.run_module('wavelifespan', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "loaded = sorted({'numpy.ma', 'concurrent.futures'} & set(sys.modules))\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "fit mode=power" in proc.stdout
 
 
 def stored_band(params, data, grid):
@@ -434,6 +513,12 @@ class TestCli:
     def no_march(*args, **kwargs):
         raise AssertionError("march reached with malformed input")
 
+    @classmethod
+    def forbid_march(cls, monkeypatch):
+        """Stub both march entry points that the CLI reaches: solve's march and sweep's march_ladder."""
+        for name in ("march", "march_ladder"):
+            monkeypatch.setattr(f"wavelifespan.harness.{name}", cls.no_march)
+
     def test_classify_output(self, capsys):
         assert run_cli(["classify", "--p", "2", "--a", "-0.5", "--b", "0"]) == 0
         assert capsys.readouterr().out.strip() == "poly_a exponent 2"
@@ -525,12 +610,12 @@ class TestCli:
         ],
     )
     def test_non_finite_input_exits_1_before_marching(self, argv, monkeypatch):
-        monkeypatch.setattr("wavelifespan.harness.march", self.no_march)
+        self.forbid_march(monkeypatch)
         assert run_cli(argv) == 1
 
     @pytest.mark.parametrize("t_lo", ["1", "0.5"])
     def test_exponential_sweep_to_T_at_most_one_exits_1_before_marching(self, t_lo, capsys, monkeypatch):
-        monkeypatch.setattr("wavelifespan.harness.march", self.no_march)
+        self.forbid_march(monkeypatch)
         argv = ["sweep", "--p", "2", "--a", "0", "--b", "0", "--t-lo", t_lo, "--t-hi", "3"]
         assert run_cli(argv) == 1
         assert "must exceed 1" in capsys.readouterr().err
@@ -595,13 +680,13 @@ class TestCli:
         "argv, computes",
         [
             (["solve", "--a", "-0.5"], "wavelifespan.harness.march"),
-            (["sweep", "--a", "-0.5"], "wavelifespan.harness.march"),
+            (["sweep", "--a", "-0.5"], "wavelifespan.harness.march_ladder"),
             (["verify-apriori", "--a", "-0.5"], "wavelifespan.harness.apriori_profiles"),
             (["phase-diagram"], "wavelifespan.theory.phase_diagram"),
         ],
     )
     def test_unwritable_out_exits_1_before_computing(self, argv, computes, tmp_path, capsys, monkeypatch):
-        # sweep records a failed march as an error entry, so count the calls
+        # count the calls: the exit code of a run that reaches the stub does not show it
         calls = []
 
         def stub(*args, **kwargs):
@@ -647,7 +732,7 @@ class TestCli:
         assert "must be finite" in capsys.readouterr().err
 
     def test_config_without_p_exits_1_naming_the_key(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("wavelifespan.harness.march", self.no_march)
+        self.forbid_march(monkeypatch)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"a": 0.0, "b": 0.0, "epsilon": 0.1}))
         assert run_cli(["solve", "--config", str(cfg)]) == 1
@@ -668,7 +753,7 @@ class TestCli:
         ],
     )
     def test_malformed_config_exits_1(self, cfg, message, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("wavelifespan.harness.march", self.no_march)
+        self.forbid_march(monkeypatch)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert run_cli(["solve", "--config", str(path)]) == 1
@@ -693,5 +778,5 @@ class TestCli:
         assert message in captured.err
 
     def test_missing_config_file_exits_1(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("wavelifespan.harness.march", self.no_march)
+        self.forbid_march(monkeypatch)
         assert run_cli(["solve", "--config", str(tmp_path / "absent.json")]) == 1

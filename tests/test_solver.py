@@ -30,11 +30,13 @@ from wavelifespan.kernels import (
     weight_w,
 )
 from wavelifespan.solver import (
+    _fold_cap,
     _masked_weighted_sup,
     _solve_level,
     apply_duhamel_field,
     dump_field_csv,
     march,
+    march_ladder,
     pde_residual,
     picard_iterate,
     reconstruct_u,
@@ -62,12 +64,17 @@ def exponents_in(draw, kind):
     return p, a, b
 
 
+def solve_level(base, gamma, p, tol, inner_max, threshold):
+    """_solve_level against the fold cap that march_ladder takes once per level."""
+    return _solve_level(base, gamma, _fold_cap(gamma, p), p, tol, inner_max, threshold)
+
+
 class TestSolveLevel:
     def test_quadratic_root_closed_form(self):
         # z = base + gamma z^2 has root (1 - sqrt(1-4*gamma*base)) / (2*gamma)
         base = np.array([0.1, 0.4, 0.7])
         gamma = np.array([0.3, 0.2, 0.05])
-        z, cause = _solve_level(base, gamma, 2.0, 1e-14, 50, 1e6)
+        z, cause = solve_level(base, gamma, 2.0, 1e-14, 50, 1e6)
         exact = (1.0 - np.sqrt(1.0 - 4.0 * gamma * base)) / (2.0 * gamma)
         assert cause is None
         assert np.allclose(z, exact, rtol=1e-12)
@@ -76,7 +83,7 @@ class TestSolveLevel:
         # odd nonlinearity: |z|^p with z < 0 still has a unique small root
         base = np.array([-0.3])
         gamma = np.array([0.1])
-        z, cause = _solve_level(base, gamma, 2.0, 1e-14, 50, 1e6)
+        z, cause = solve_level(base, gamma, 2.0, 1e-14, 50, 1e6)
         assert cause is None
         assert z[0] == pytest.approx(base[0] + gamma[0] * z[0] ** 2, abs=1e-12)
 
@@ -84,7 +91,7 @@ class TestSolveLevel:
         # for p=2 no root exists once base > 1/(4*gamma)
         base = np.array([2.0])
         gamma = np.array([0.2])
-        z, cause = _solve_level(base, gamma, 2.0, 1e-14, 50, 1e6)
+        z, cause = solve_level(base, gamma, 2.0, 1e-14, 50, 1e6)
         assert cause is Cause.no_root
 
     def test_slow_root_near_fold_found(self):
@@ -93,7 +100,7 @@ class TestSolveLevel:
         gamma = np.array([0.25])
         cap = 1.0 / (4.0 * gamma[0])
         base = np.array([cap * 0.9999])
-        z, cause = _solve_level(base, gamma, 2.0, 1e-13, 50, 1e6)
+        z, cause = solve_level(base, gamma, 2.0, 1e-13, 50, 1e6)
         assert cause is None
         assert z[0] == pytest.approx(base[0] + gamma[0] * z[0] ** 2, rel=1e-10)
 
@@ -106,7 +113,7 @@ class TestSolveLevel:
         gamma = np.array([0.3, 0.05, 1.0, 0.2])
         cap = (p * gamma) ** (-1.0 / (p - 1.0)) * (1.0 - 1.0 / p)
         base = np.array([0.5, 0.9, 0.99, -2.0]) * np.where(np.arange(4) < 3, cap, 1.0)
-        z, cause = _solve_level(base, gamma, p, 1e-13, 50, 1e6)
+        z, cause = solve_level(base, gamma, p, 1e-13, 50, 1e6)
         assert cause is None
         assert np.all(self._residual(z, base, gamma, p) <= 1e-12)
 
@@ -114,7 +121,7 @@ class TestSolveLevel:
         # p = 2: the smallest root (1 - sqrt(1 - 4 gamma base)) / (2 gamma) for either sign
         base = np.array([-3.0, -0.5, -1e-8, 0.0, 1e-8, 0.3, 0.9])
         gamma = np.full(base.shape, 0.25)
-        z, cause = _solve_level(base, gamma, 2.0, 1e-14, 50, 1e6)
+        z, cause = solve_level(base, gamma, 2.0, 1e-14, 50, 1e6)
         exact = (1.0 - np.sqrt(1.0 - 4.0 * gamma * base)) / (2.0 * gamma)
         assert cause is None
         assert np.allclose(z, exact, rtol=1e-12, atol=1e-15)
@@ -125,7 +132,7 @@ class TestSolveLevel:
         base = np.array([900.0, 1e-3])
         gamma = np.array([1e-4, 0.3])
         tol = 1e-14
-        z, cause = _solve_level(base, gamma, 2.0, tol, 50, 1e6)
+        z, cause = solve_level(base, gamma, 2.0, tol, 50, 1e6)
         assert cause is None
         assert z[0] > 900.0 and z[1] < 2e-3
         resid = np.abs(base + gamma * z**2 - z)
@@ -136,23 +143,23 @@ class TestSolveLevel:
     def test_fold_edge(self, p):
         gamma = np.array([0.25])
         cap = (p * gamma) ** (-1.0 / (p - 1.0)) * (1.0 - 1.0 / p)
-        z, cause = _solve_level(cap * (1.0 - 1e-9), gamma, p, 1e-12, 50, 1e6)
+        z, cause = solve_level(cap * (1.0 - 1e-9), gamma, p, 1e-12, 50, 1e6)
         assert cause is None
         assert self._residual(z, cap * (1.0 - 1e-9), gamma, p)[0] <= 1e-12
-        _, cause = _solve_level(cap * (1.0 + 1e-9), gamma, p, 1e-12, 50, 1e6)
+        _, cause = solve_level(cap * (1.0 + 1e-9), gamma, p, 1e-12, 50, 1e6)
         assert cause is Cause.no_root
 
     def test_threshold_and_non_finite_are_blowup(self):
         gamma = np.array([1e-9])
-        _, cause = _solve_level(np.array([5e3]), gamma, 2.0, 1e-12, 50, 1e3)
+        _, cause = solve_level(np.array([5e3]), gamma, 2.0, 1e-12, 50, 1e3)
         assert cause is Cause.threshold_exceeded
-        _, cause = _solve_level(np.array([0.1, np.nan]), np.array([0.1, 0.1]), 2.0, 1e-12, 50, 1e6)
+        _, cause = solve_level(np.array([0.1, np.nan]), np.array([0.1, 0.1]), 2.0, 1e-12, 50, 1e6)
         assert cause is Cause.threshold_exceeded
 
     def test_exhausted_inner_max_is_failed(self):
         # near the fold Newton needs more than two steps
         gamma = np.array([0.25])
-        _, cause = _solve_level(np.array([0.999]), gamma, 2.0, 1e-14, 2, 1e6)
+        _, cause = solve_level(np.array([0.999]), gamma, 2.0, 1e-14, 2, 1e6)
         assert cause is Cause.inner_max_exhausted
 
 
@@ -430,6 +437,46 @@ class TestBlowup:
         assert field.levels.shape[0] == field.n_levels_done + 1
         assert est.T_blow == pytest.approx((field.n_levels_done + 1) * grid.h - 0.5 * grid.h)
         assert np.all(np.isfinite(field.levels))
+
+
+class TestMarchLadder:
+    """march_ladder's rungs are bitwise their own marches: fields, histories and verdicts."""
+
+    @pytest.mark.parametrize(
+        "p, a, b, ladder",
+        [
+            (2.0, -1.0, -1.0, [0.1, 0.5, 0.8]),
+            (1.5, -1.0, -1.0, [0.02, 1.2, 0.8]),  # unsorted: rungs come back in the order given
+            (3.0, -0.5, -3.0, [0.2, 1.0, 1.5]),  # 1.5 is detected on level 1
+            (2.0, 1.0, 0.0, [0.05, 0.5]),  # global: both survive
+        ],
+    )
+    def test_rungs_equal_single_marches(self, p, a, b, ladder, bump_data):
+        params = ModelParams(p, a, b, 0.0, 1.0)
+        grid = GridSpec(h=0.1, t_max=10.0, pad=1.0)
+        rungs = march_ladder(params, bump_data, grid, ladder, keep_field=True, track_weighted_sup=True)
+        assert len(rungs) == len(ladder)
+        for eps, (field, est) in zip(ladder, rungs):
+            ref_field, ref = march(ModelParams(p, a, b, eps, 1.0), bump_data, grid, track_weighted_sup=True)
+            assert field.n_levels_done == ref_field.n_levels_done
+            assert np.array_equal(field.levels, ref_field.levels)
+            assert est.cause is ref.cause and est.T_blow == ref.T_blow
+            assert np.array(est.sup_history).tobytes() == np.array(ref.sup_history).tobytes()
+            wsup, ref_wsup = est.weighted_sup_history, ref.weighted_sup_history
+            assert np.array(wsup).tobytes() == np.array(ref_wsup).tobytes()
+
+    def test_every_rung_is_validated_before_the_first_level(self, bump_data, monkeypatch):
+        def no_level(*args, **kwargs):
+            raise AssertionError("a level was marched")
+
+        monkeypatch.setattr(solver, "nonlinear_weight", no_level)
+        params = ModelParams(2.0, -1.0, -1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="epsilon must be >= 0"):
+            march_ladder(params, bump_data, GridSpec(h=0.1, t_max=10.0, pad=1.0), [0.5, -0.5])
+
+    def test_empty_ladder_marches_nothing(self, bump_data):
+        params = ModelParams(2.0, -1.0, -1.0, 0.0, 1.0)
+        assert march_ladder(params, bump_data, GridSpec(h=0.1, t_max=10.0, pad=1.0), []) == []
 
 
 class TestDuhamelField:
