@@ -100,10 +100,11 @@ def sweep(
 
     params.epsilon is ignored.  Every rung is validated first: one that
     fails validation, or an exponential-regime rung predicted past
-    EXP_REACH * R (out_of_numerical_reach), becomes an error entry.  The
-    other rungs march in lockstep, one march_ladder per grid; threads > 1
-    splits them into that many contiguous groups, each marched in lockstep
-    on a pool of threads.
+    EXP_REACH * R (out_of_numerical_reach; epsilon = 0 predicts no end
+    there), becomes an error entry.  The other rungs march in lockstep,
+    one march_ladder per grid.  threads is accepted and ignored: it is kept
+    only because bench/workloads.py::SweepPoly.run_pass passes it, and goes
+    when the bench drops its sweep_threads row.
     """
     if len(ladder) == 0:
         raise ValueError("empty epsilon ladder")
@@ -126,32 +127,22 @@ def sweep(
                 require_valid(replace(params, epsilon=eps), data, g)
         except ValueError as exc:
             return str(exc)
-        predicted = theory.lifespan_bound(params.p, params.a, params.b, eps, 1.0)
-        if exponential and predicted > EXP_REACH * params.R:
+        if exponential and (
+            eps == 0
+            or theory.lifespan_bound(params.p, params.a, params.b, eps, 1.0) > EXP_REACH * params.R
+        ):
             return "out_of_numerical_reach"
         return None
 
     entries = [SweepEntry(eps, None, None, False, error=error_of(eps)) for eps in ladder]
     todo = [e for e in entries if e.error is None]
-
-    def run(group: list) -> None:
-        eps = [e.epsilon for e in group]
-        at_h = march_ladder(params, data, grid, eps, keep_field=False)
-        at_h2 = march_ladder(params, data, fine, eps, keep_field=False)
-        for e, (_, est_h), (_, est_h2) in zip(group, at_h, at_h2):
-            e.est_h, e.est_h2 = est_h, est_h2
-            if est_h.T_blow is not None and est_h2.T_blow is not None and est_h2.T_blow > 0:
-                e.resolved = abs(est_h.T_blow - est_h2.T_blow) / est_h2.T_blow < RESOLVE_TOL
-
-    n_groups = min(threads, len(todo))
-    if n_groups > 1:
-        from concurrent.futures import ThreadPoolExecutor  # here only: a serial sweep never loads it
-
-        cuts = [len(todo) * j // n_groups for j in range(n_groups + 1)]
-        with ThreadPoolExecutor(max_workers=n_groups) as pool:
-            list(pool.map(run, [todo[i:j] for i, j in zip(cuts, cuts[1:])]))
-    else:
-        run(todo)
+    eps = [e.epsilon for e in todo]
+    at_h = march_ladder(params, data, grid, eps, keep_field=False)
+    at_h2 = march_ladder(params, data, fine, eps, keep_field=False)
+    for e, (_, est_h), (_, est_h2) in zip(todo, at_h, at_h2):
+        e.est_h, e.est_h2 = est_h, est_h2
+        if est_h.T_blow is not None and est_h2.T_blow is not None and est_h2.T_blow > 0:
+            e.resolved = abs(est_h.T_blow - est_h2.T_blow) / est_h2.T_blow < RESOLVE_TOL
     return SweepResult(entries=entries)
 
 
@@ -294,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-hi", type=float, default=200.0)
     sp.add_argument("--n-eps", type=int, default=8)
     sp.add_argument("--amplitude-g", type=float, default=1.0)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", type=str, default=None)
     sp.add_argument("--fit", choices=["power", "exponential"], default=None)
 
@@ -416,11 +406,9 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             grid = GridSpec(h=args.h, t_max=args.tmax, pad=max(1.0, args.R))
             if args.fit and args.n_eps < 3:
                 raise ValueError("--fit needs --n-eps >= 3")
-            if args.threads < 1:
-                raise ValueError("--threads must be >= 1")
             ladder = make_epsilon_ladder(args.p, args.a, args.b, args.t_lo, args.t_hi, args.n_eps)
             with _open_out(args.out) as fh:
-                result = sweep(params, data, grid, ladder, threads=args.threads)
+                result = sweep(params, data, grid, ladder)
                 fh.write(result.to_csv())
             if args.fit:
                 _, rate = theory.lifespan_rate(args.p, args.a, args.b)

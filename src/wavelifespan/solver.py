@@ -121,7 +121,6 @@ class _Rung:
         self.est = LifespanEstimate(
             T_blow=None, h=grid.h, weighted_sup_history=[] if track else None
         )
-        self.n_done = 0
 
 
 def march_ladder(
@@ -187,15 +186,15 @@ def march_ladder(
                 if track_weighted_sup:
                     w = weight_w(xa, t, params) if w is None else w
                     est.weighted_sup_history.append(_masked_weighted_sup(z, w))
-                rung.n_done = n
             live = [rung for rung in live if rung.est.cause is None]
 
     out = []
     for rung in rungs:
-        levels = rung.levels
-        if levels is not None and rung.est.cause is not None:
-            levels = levels[: rung.n_done + 1, :]  # drop the unresolved detection level
-        out.append((CharField(grid=grid, levels=levels, n_levels_done=rung.n_done), rung.est))
+        levels, est = rung.levels, rung.est
+        n_done = len(est.sup_history) - 1 - (est.cause is not None)  # the last resolved level
+        if levels is not None and est.cause is not None:
+            levels = levels[: n_done + 1, :]  # drop the unresolved detection level
+        out.append((CharField(grid=grid, levels=levels, n_levels_done=n_done), est))
     return out
 
 

@@ -263,10 +263,6 @@ def epsilon_thresholds(params: ModelParams, Cg: float, C1: float) -> tuple[float
 INFTY = "infinity"
 
 
-def _frac(x: Number) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def dt_table(p: Number, a: Number, b: Number) -> tuple[str, Optional[float]]:
     """Lifespan table for the |u_t|^p problem (the equation solved here)."""
     regime = classify_regime(p, a, b)
@@ -349,9 +345,9 @@ def phase_diagram(
     table = _TABLES.get(mode)
     if table is None:
         raise ValueError(f"unknown mode {mode!r}")
-    pf = _frac(p)
-    a_lo, a_hi = _frac(a_range[0]), _frac(a_range[1])
-    b_lo, b_hi = _frac(b_range[0]), _frac(b_range[1])
+    pf = Fraction(p)
+    a_lo, a_hi = Fraction(a_range[0]), Fraction(a_range[1])
+    b_lo, b_hi = Fraction(b_range[0]), Fraction(b_range[1])
     rows = []
     for i in range(n_a):
         a = a_lo + (a_hi - a_lo) * i / (n_a - 1)

@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 import wavelifespan
-from wavelifespan.core import Cause, Family, GridSpec, InitialData, LifespanEstimate, ModelParams
+from wavelifespan.core import (
+    Cause,
+    Family,
+    GridSpec,
+    InitialData,
+    LifespanEstimate,
+    ModelParams,
+    Status,
+)
 from wavelifespan.harness import (
     SweepEntry,
     SweepResult,
@@ -155,6 +163,19 @@ class TestSweep:
         assert result.entries[0].error == "out_of_numerical_reach"
         assert not result.entries[0].blew_up()
 
+    @pytest.mark.parametrize("a, zero_error", [(-0.5, None), (0.0, "out_of_numerical_reach")])
+    def test_zero_epsilon_rung_leaves_the_rest_of_the_ladder(self, a, zero_error, bump_data):
+        # a polynomial-regime eps = 0 marches zero data and survives; an
+        # exponential-regime one predicts no end, so it is out of reach
+        params = ModelParams(2.0, a, 0.0, 0.0, 1.0)
+        grid = GridSpec(h=0.1, t_max=5.0, pad=1.0)
+        zero, rung = sweep(params, bump_data, grid, [0.5, 0.0]).entries
+        assert zero.epsilon == 0.0 and zero.error == zero_error
+        if zero_error is None:
+            assert zero.est_h.status is Status.survived and zero.est_h2.status is Status.survived
+            assert max(zero.est_h.sup_history) == 0.0
+        assert rung.error is None and rung.est_h is not None
+
 
 # one (p, a, b) per blow-up regime, then p = 1.5 and p = 3; each ladder has a
 # rung that fails validation, one that survives to t_max at h, and blow-ups
@@ -195,7 +216,8 @@ class TestLockstepLadder:
 
 
 def test_serial_sweep_and_fit_load_neither_numpy_ma_nor_a_thread_pool():
-    # np.unique would import numpy.ma, and the pool concurrent.futures with logging
+    # np.unique would import numpy.ma, and a thread pool concurrent.futures with
+    # logging; threads=2 is accepted and marches the same one lockstep path
     src = str(Path(wavelifespan.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
@@ -205,6 +227,8 @@ def test_serial_sweep_and_fit_load_neither_numpy_ma_nor_a_thread_pool():
         "result = sweep(ModelParams(2.0, -1.0, -1.0, 0.0, 1.0), InitialData(Family.bump, 0.0, 1.0, 1.0),\n"
         "               GridSpec(h=0.1, t_max=8.0, pad=1.0), [0.5, 0.7, 1.0])\n"
         "fit_exponent(result.blowup_pairs())\n"
+        "sweep(ModelParams(2.0, -1.0, -1.0, 0.0, 1.0), InitialData(Family.bump, 0.0, 1.0, 1.0),\n"
+        "      GridSpec(h=0.1, t_max=8.0, pad=1.0), [0.5, 0.7, 1.0], threads=2)\n"
         "sys.argv = ['wavelifespan', 'sweep', '--a', '-1', '--b', '-1', '--h', '0.1', '--tmax', '40',\n"
         "            '--t-lo', '5', '--t-hi', '10', '--n-eps', '3', '--fit', 'power']\n"
         "try:\n"
@@ -624,8 +648,7 @@ class TestCli:
         "flags, message",
         [
             (["--n-eps", "2", "--fit", "power"], "--fit needs --n-eps >= 3"),
-            (["--threads", "-4"], "--threads must be >= 1"),
-            (["--threads", "0"], "--threads must be >= 1"),
+            (["--threads", "2"], "unrecognized arguments: --threads 2"),
         ],
     )
     def test_bad_sweep_flags_exit_1_before_the_sweep(self, flags, message, capsys, monkeypatch):
