@@ -30,6 +30,7 @@ from .solver import apriori_profiles, dump_field_csv, march, march_ladder
 
 RESOLVE_TOL = 0.05
 EXP_REACH = 1e4  # in units of R: longer exponential-regime lifespans are not marched
+MAX_FIELD_BYTES = 2 * 2**30  # largest field solve --out stores: (n_t + 1) * n_x doubles
 
 
 @dataclass
@@ -96,7 +97,7 @@ def sweep(
     ladder: Sequence[float],
     threads: int = 1,
 ) -> SweepResult:
-    """March every epsilon at h and h/2; entries sorted ascending.
+    """March every epsilon at h and h/2; entries sorted ascending, NaN rungs last.
 
     params.epsilon is ignored.  Every rung is validated first: one that
     fails validation, or an exponential-regime rung predicted past
@@ -117,7 +118,7 @@ def sweep(
     if data.family is not Family.bump or data.amplitude_g <= 0:
         raise ValueError("blow-up sweeps require f = 0 and a positive bump g")
 
-    ladder = sorted(float(e) for e in ladder)
+    ladder = sorted(map(float, ladder), key=lambda e: (math.isnan(e), e))
     exponential, _ = theory.lifespan_rate(params.p, params.a, params.b)
     fine = GridSpec(h=grid.h / 2.0, t_max=grid.t_max, pad=grid.pad)
 
@@ -206,8 +207,11 @@ def verify_apriori(
     per-level sups, read at the level of T.  Every T must be finite, >= 0
     and a lattice level of h, and the largest T positive, checked before
     the grid and the pass.  Raises ValueError naming eps when a norm or
-    ||U||^p overflows, and naming T when ||U|| is 0 on [0, T].
+    ||U||^p overflows, and naming T when ||U|| is 0 on [0, T].  The step h
+    must be finite and > 0, checked first.
     """
+    if not 0 < h < math.inf:
+        raise ValueError(f"the step h must be finite and > 0, got h={h:g}")
     T_ladder = sorted(T_ladder)
     if not T_ladder:
         raise ValueError("empty T ladder")
@@ -393,6 +397,12 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
                 data = InitialData(Family.bump, 0.0, 1.0, args.R)
                 grid = GridSpec(h=args.h, t_max=args.tmax, pad=max(1.0, args.R))
             require_valid(params, data, grid)
+            size = 8 * (grid.n_t + 1) * grid.n_x
+            if args.out and size > MAX_FIELD_BYTES:
+                raise ValueError(
+                    f"--out would store a {size / 2**30:.3g} GiB field, above the "
+                    f"{MAX_FIELD_BYTES / 2**30:g} GiB limit: raise h or lower tmax"
+                )
             with _open_out(args.out) as fh:
                 field, est = march(params, data, grid, keep_field=bool(args.out))
                 if args.out:

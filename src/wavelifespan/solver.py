@@ -11,9 +11,11 @@ itself, by one vectorised Newton iteration per level after a closed-form
 fold test has ruled out blow-up; march_ladder marches several epsilons in
 lockstep, sharing each level's slice, weight and fold cap.  The explicit
 passes, apriori_profiles and picard_iterate, stream their L' through the
-level blocks of _level_blocks; picard_iterate stores only its last
-iterate, in one field plus O(j_max (n_x + n_t)), and none when the
-sequence diverged.
+level blocks of _level_blocks, stepping every level of a block over the
+one slice of its last and widest level: their sources vanish outside
+each level's cone, where the unseeded sums hold +0.0, so the extra nodes
+change nothing.  picard_iterate stores only its last iterate, in one
+field plus O(j_max (n_x + n_t)), and none when the sequence diverged.
 """
 
 from __future__ import annotations
@@ -228,36 +230,33 @@ def apply_duhamel_field(source: np.ndarray, grid: GridSpec, params: ModelParams)
     return out
 
 
-def _explicit_block(acc: CharAccumulator, n0: int, slices: list, G: np.ndarray) -> np.ndarray:
-    """Explicit L' on levels n0.. of a block whose rows G span the last slice.
+def _explicit_block(acc: CharAccumulator, n0: int, lo: int, G: np.ndarray) -> np.ndarray:
+    """Explicit L' on levels n0.. of a block, each row G[j] stepped over nodes lo...
 
-    Row j steps acc on level n0 + j over its own slices[j]; the nodes of the
-    row outside that slice stay 0.
+    A row's nodes outside its own level's cone add its source there, +0.0,
+    and read diagonals fed only by such nodes of earlier levels, +0.0 too:
+    they come out +0.0, as a slice per level would leave them.
     """
-    base = slices[-1][0]
-    V = np.zeros_like(G)
-    for j, (lo, hi) in enumerate(slices):
-        cols = slice(lo - base, hi - base + 1)
-        V[j, cols] = acc.explicit_step(n0 + j, lo, hi, G[j, cols])
-    return V
+    hi = lo + G.shape[1] - 1
+    return np.stack([acc.explicit_step(n0 + j, lo, hi, row) for j, row in enumerate(G)])
 
 
 def _level_blocks(params: ModelParams, data: InitialData, grid: GridSpec, n_last: int):
-    """Levels 0..n_last in blocks of BLOCK, as (n0, slices, xa, t, B).
+    """Levels 0..n_last in blocks of BLOCK, as (n0, lo, xa, t, B).
 
-    slices are the levels' active slices and xa the x nodes of the last and
-    widest; t is the column of the block's times and B the free data
+    xa are the x nodes lo..hi of the active slice of the block's last and
+    widest level, t is the column of the block's times and B the free data
     eps*u_t0 on xa.  The fields vanish outside a level's cone, so a block's
-    weights, sources and sups can all be taken over xa at once.
+    weights, sources, sups and explicit steps can all be taken over xa at
+    once.
     """
     x = grid.x_nodes()
     free = CharAccumulator.seeded(data, grid, params.epsilon)
     for n0 in range(0, n_last + 1, BLOCK):
         n1 = min(n0 + BLOCK, n_last + 1)
-        slices = [grid.active_slice(n, params.R) for n in range(n0, n1)]
-        LO, HI = slices[-1]
+        lo, hi = grid.active_slice(n1 - 1, params.R)
         t = grid.h * np.arange(n0, n1)[:, None]
-        yield n0, slices, x[LO : HI + 1], t, free.values(n0, n1, LO, HI)
+        yield n0, lo, x[lo : hi + 1], t, free.values(n0, n1, lo, hi)
 
 
 def apriori_profiles(
@@ -282,8 +281,8 @@ def apriori_profiles(
         acc_LU, acc_LB = (CharAccumulator(grid.n_x, grid.n_t, grid.h) for _ in range(2))
     out = np.empty((3, grid.n_t + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for n0, slices, xa, t, B in _level_blocks(params, data, grid, grid.n_t):
-            rows = slice(n0, n0 + len(slices))
+        for n0, lo, xa, t, B in _level_blocks(params, data, grid, grid.n_t):
+            rows = slice(n0, n0 + len(t))
             w = weight_w(xa, t, params)
             cols = (B != 0.0).any(axis=0)
             absB = np.abs(B[:, cols])
@@ -291,7 +290,7 @@ def apriori_profiles(
             source = np.zeros_like(B)
             source[:, cols] = absB**params.p * W_cols
             del B  # only its columns are read from here on
-            L = _explicit_block(acc, n0, slices, source)
+            L = _explicit_block(acc, n0, lo, source)
             if test_field == "free":
                 out[0, rows] = _masked_weighted_sup(absB, w[:, cols])
                 out[1:, rows] = _masked_weighted_sup(L, w)
@@ -300,10 +299,10 @@ def apriori_profiles(
             out[0, rows] = _masked_weighted_sup(L, w)
             W = nonlinear_weight(xa, t, params)  # L is dense: so is the source of L'U
             out[1, rows] = _masked_weighted_sup(
-                _explicit_block(acc_LU, n0, slices, np.abs(L) ** params.p * W), w
+                _explicit_block(acc_LU, n0, lo, np.abs(L) ** params.p * W), w
             )
             source[:, cols] = absB ** (params.p - 1) * np.abs(L[:, cols]) * W_cols  # 0 off cols
-            out[2, rows] = _masked_weighted_sup(_explicit_block(acc_LB, n0, slices, source), w)
+            out[2, rows] = _masked_weighted_sup(_explicit_block(acc_LB, n0, lo, source), w)
     return out
 
 
@@ -343,7 +342,7 @@ def picard_iterate(
     final = np.zeros((n_T + 1, grid.n_x))
     bad = 2 * j_max  # first non-finite step: 2j for source j, 2j + 1 for iterate j + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for n0, slices, xa, t, B in _level_blocks(params, data, grid, n_T):
+        for n0, lo, xa, t, B in _level_blocks(params, data, grid, n_T):
             w, W = weight_w(xa, t, params), nonlinear_weight(xa, t, params)
             U = np.zeros_like(B)  # U_1 = 0
             for j, acc in enumerate(accs, start=1):
@@ -351,15 +350,14 @@ def picard_iterate(
                 if not np.isfinite(source).all():
                     bad = min(bad, 2 * j)
                     break
-                U_next = _explicit_block(acc, n0, slices, source * W)
+                U_next = _explicit_block(acc, n0, lo, source * W)
                 if not np.isfinite(U_next).all():
                     bad = min(bad, 2 * j + 1)
                     break
                 diffs[j - 1] = max(diffs[j - 1], _masked_weighted_sup(U_next - U, w).max())
                 norms[j] = max(norms[j], _masked_weighted_sup(U_next, w).max())
                 U = U_next
-            LO, HI = slices[-1]
-            final[n0 : n0 + len(slices), LO : HI + 1] = U
+            final[n0 : n0 + len(t), lo : lo + len(xa)] = U
     report = PicardReport(norms[: bad // 2].tolist(), diffs[: bad // 2 - 1].tolist())
     if bad < 2 * j_max:
         report.diverged_at = (bad + 1) // 2

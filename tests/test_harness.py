@@ -176,6 +176,15 @@ class TestSweep:
             assert max(zero.est_h.sup_history) == 0.0
         assert rung.error is None and rung.est_h is not None
 
+    def test_nan_rung_sorts_last(self, bump_data):
+        # a NaN compares false both ways: plain sorted() leaves it, and the rungs after it, in place
+        params = ModelParams(2.0, -1.0, -1.0, 0.0, 1.0)
+        grid = GridSpec(h=0.1, t_max=5.0, pad=1.0)
+        entries = sweep(params, bump_data, grid, [0.5, math.nan, 0.2]).entries
+        assert [e.epsilon for e in entries[:2]] == [0.2, 0.5]
+        assert math.isnan(entries[2].epsilon) and "epsilon must be finite" in entries[2].error
+        assert all(e.error is None for e in entries[:2])
+
 
 # one (p, a, b) per blow-up regime, then p = 1.5 and p = 3; each ladder has a
 # rung that fails validation, one that survives to t_max at h, and blow-ups
@@ -430,13 +439,38 @@ class TestVerifyApriori:
             (3.0, -1.5, 0.0, 1.0, Family.bump_pair),
         ],
     )
-    def test_blocked_profiles_equal_per_level_reference(self, p, a, b, R, family, n_levels, test_field):
+    def test_blocked_profiles_equal_per_level_reference(
+        self, p, a, b, R, family, n_levels, test_field, amplitude_f=0.7
+    ):
         params = ModelParams(p, a, b, 0.01, R)
-        data = InitialData(family, 0.7, 1.0, R)
+        data = InitialData(family, amplitude_f, 1.0, R)
         grid = GridSpec(h=0.1, t_max=0.1 * (n_levels - 1), pad=max(1.0, R))
         assert grid.n_t + 1 == n_levels
         profiles = apriori_profiles(params, data, grid, test_field)
         assert np.array_equal(profiles, stored_field_profiles(params, data, grid, test_field))
+
+    @pytest.mark.parametrize("test_field", ["free", "picard_U2"])
+    @pytest.mark.parametrize("n_levels", [2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1])
+    def test_blocked_profiles_with_negative_f_equal_per_level_reference(self, n_levels, test_field):
+        # f' < 0 where the cases above have f' > 0: every node off a level's
+        # cone, signed zeros included, stays as the reference's
+        self.test_blocked_profiles_equal_per_level_reference(
+            2.0, -0.5, -3.0, 1.0, Family.bump_pair, n_levels, test_field, amplitude_f=-0.7
+        )
+
+    @pytest.mark.parametrize("test_field", ["free", "picard_U2"])
+    def test_pass_takes_one_slice_per_block(self, test_field, bump_data, monkeypatch):
+        calls = []
+        active_slice = GridSpec.active_slice
+
+        def spy(grid, n, R):
+            calls.append(n)
+            return active_slice(grid, n, R)
+
+        monkeypatch.setattr(GridSpec, "active_slice", spy)
+        verify_apriori(ModelParams(2.0, -0.5, 0.0, 0.01, 1.0), bump_data, 0.1, [5.0, 10.0], test_field)
+        # levels 0..100: the last level of each block, the widest
+        assert calls == [31, 63, 95, 100]
 
     @pytest.mark.parametrize("test_field", ["free", "picard_U2"])
     def test_zero_data_is_rejected(self, test_field):
@@ -505,6 +539,13 @@ class TestVerifyApriori:
         assert pass_calls == []
         verify_apriori(params, bump_data, 0.05, [5.0, 10.0])
         assert len(pass_calls) == 1  # the spy sees a valid ladder's pass
+
+    @pytest.mark.parametrize("h", [0.0, -0.05, math.nan, math.inf])
+    def test_bad_h_is_rejected_before_the_pass(self, h, bump_data, pass_calls):
+        params = ModelParams(2.0, -0.5, 0.0, 0.01, 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"the step h must be finite and > 0, got h={h:g}")):
+            verify_apriori(params, bump_data, h, [5.0, 10.0])
+        assert pass_calls == []
 
     @pytest.mark.parametrize(
         "a, eps, test_field",
@@ -637,6 +678,26 @@ class TestCli:
         self.forbid_march(monkeypatch)
         assert run_cli(argv) == 1
 
+    def test_solve_out_past_the_field_limit_exits_1_before_opening_it(self, tmp_path, capsys, monkeypatch):
+        # (10^6 + 1) * 2002001 doubles, about 16 TB
+        self.forbid_march(monkeypatch)
+        out = tmp_path / "field.csv"
+        assert run_cli(["solve", "--h", "0.001", "--tmax", "1000", "--out", str(out)]) == 1
+        assert "above the 2 GiB limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_solve_out_field_limit_is_inclusive(self, tmp_path, monkeypatch):
+        # at h = 0.1, tmax = 1 and pad 1: 11 levels of 41 nodes
+        argv = ["solve", "--eps", "0.01", "--h", "0.1", "--tmax", "1.0", "--out", str(tmp_path / "f.csv")]
+        monkeypatch.setattr("wavelifespan.harness.MAX_FIELD_BYTES", 8 * 11 * 41 - 1)
+        assert run_cli(argv) == 1
+        assert not (tmp_path / "f.csv").exists()
+        monkeypatch.setattr("wavelifespan.harness.MAX_FIELD_BYTES", 8 * 11 * 41)
+        assert run_cli(argv) == 0
+        assert len((tmp_path / "f.csv").read_text().splitlines()) == 1 + 11 * 41
+        monkeypatch.setattr("wavelifespan.harness.MAX_FIELD_BYTES", 0)
+        assert run_cli(argv[:-2]) == 0  # without --out no field is stored, so no limit applies
+
     @pytest.mark.parametrize("t_lo", ["1", "0.5"])
     def test_exponential_sweep_to_T_at_most_one_exits_1_before_marching(self, t_lo, capsys, monkeypatch):
         self.forbid_march(monkeypatch)
@@ -667,6 +728,10 @@ class TestCli:
             (["5.01", "10"], "not a lattice level"),
             (["0.05", "--h", "0.1"], "t=0.05 is not a lattice level"),
             (["0"], "the largest T must be positive, got T=0"),
+            (["10", "--h", "0"], "the step h must be finite and > 0, got h=0\n"),
+            (["10", "--h", "-0.05"], "the step h must be finite and > 0, got h=-0.05\n"),
+            (["10", "--h", "nan"], "the step h must be finite and > 0, got h=nan\n"),
+            (["10", "--h", "inf"], "the step h must be finite and > 0, got h=inf\n"),
         ],
     )
     def test_bad_apriori_T_exits_1_before_the_pass(self, T, message, capsys, monkeypatch):

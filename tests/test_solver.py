@@ -544,7 +544,8 @@ class TestPicard:
     @pytest.mark.parametrize("p, a, b, eps", [(2.0, 0.5, 0.0, 0.01), (3.0, -0.5, 0.0, 0.2)])
     def test_streamed_sequence_equals_stored_loop(self, p, a, b, eps, family, T):
         params = ModelParams(p, a, b, eps, 1.0)
-        data = InitialData(family, 0.0, 1.0, 1.0)
+        # bump ignores amplitude_f; bump_pair feeds f' < 0 where f' > 0 would be
+        data = InitialData(family, -0.7, 1.0, 1.0)
         grid = GridSpec(h=0.05, t_max=20.0, pad=1.0)
         report = picard_iterate(params, data, grid, T, j_max=6)
         norms, diffs, final = stored_picard(params, data, grid, T, 6)
