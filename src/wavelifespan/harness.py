@@ -21,16 +21,19 @@ from .core import (
     ModelParams,
     RegimeKind,
     load_config_file,
+    pass_bytes,
     require_valid,
+    validate,
 )
 # the benchmark wraps free_solution_dt and apply_duhamel_field at these names
 from .kernels import free_solution_dt  # noqa: F401
 from .solver import apply_duhamel_field  # noqa: F401
-from .solver import apriori_profiles, dump_field_csv, march, march_ladder
+from .solver import BLOCK, apriori_profiles, dump_field_csv, march, march_ladder
 
 RESOLVE_TOL = 0.05
 EXP_REACH = 1e4  # in units of R: longer exponential-regime lifespans are not marched
-MAX_FIELD_BYTES = 2 * 2**30  # largest field solve --out stores: (n_t + 1) * n_x doubles
+MAX_PASS_BYTES = 2 * 2**30  # largest core.pass_bytes that a CLI command's pass may hold
+SEED_ROWS = 16  # node rows that seeding a CharAccumulator holds at its peak
 
 
 @dataclass
@@ -272,10 +275,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--b", type=float, default=0.0)
         if need_eps:
             sp.add_argument("--eps", type=float, default=0.1)
-        sp.add_argument("--R", type=float, default=1.0)
 
     sp = sub.add_parser("solve", help="march one configuration, report lifespan")
     add_model_flags(sp)
+    sp.add_argument("--R", type=float, default=1.0)
     sp.add_argument("--h", type=float, default=0.05)
     sp.add_argument("--tmax", type=float, default=20.0)
     sp.add_argument("--config", type=str, default=None)
@@ -283,6 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="epsilon ladder of lifespan runs")
     add_model_flags(sp, need_eps=False)
+    sp.add_argument("--R", type=float, default=1.0)
     sp.add_argument("--h", type=float, default=0.05)
     sp.add_argument("--tmax", type=float, default=100.0)
     sp.add_argument("--t-lo", type=float, default=20.0)
@@ -314,6 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-apriori", help="a-priori bound ratio ladder")
     add_model_flags(sp)
+    sp.add_argument("--R", type=float, default=1.0)
     sp.add_argument("--h", type=float, default=0.05)
     sp.add_argument("--T", type=float, nargs="+", default=[10.0, 20.0, 40.0, 80.0])
     sp.add_argument("--field", choices=["free", "picard_U2"], default="free")
@@ -333,6 +338,15 @@ def _open_out(out: Optional[str]):
     Commands open it before they compute, so an unwritable path exits 1 at once.
     """
     return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+
+
+def _check_memory(size: int) -> None:
+    """ValueError naming size, a core.pass_bytes, when it exceeds MAX_PASS_BYTES."""
+    if size > MAX_PASS_BYTES:
+        raise ValueError(
+            f"the pass would hold {size / 2**30:.3g} GiB, above the "
+            f"{MAX_PASS_BYTES / 2**30:g} GiB limit: raise h or lower the horizon"
+        )
 
 
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
@@ -397,12 +411,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
                 data = InitialData(Family.bump, 0.0, 1.0, args.R)
                 grid = GridSpec(h=args.h, t_max=args.tmax, pad=max(1.0, args.R))
             require_valid(params, data, grid)
-            size = 8 * (grid.n_t + 1) * grid.n_x
-            if args.out and size > MAX_FIELD_BYTES:
-                raise ValueError(
-                    f"--out would store a {size / 2**30:.3g} GiB field, above the "
-                    f"{MAX_FIELD_BYTES / 2**30:g} GiB limit: raise h or lower tmax"
-                )
+            _check_memory(pass_bytes(grid, 1, 4, SEED_ROWS, bool(args.out)))  # one rung, its sups
             with _open_out(args.out) as fh:
                 field, est = march(params, data, grid, keep_field=bool(args.out))
                 if args.out:
@@ -417,6 +426,9 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             if args.fit and args.n_eps < 3:
                 raise ValueError("--fit needs --n-eps >= 3")
             ladder = make_epsilon_ladder(args.p, args.a, args.b, args.t_lo, args.t_hi, args.n_eps)
+            require_valid(params, data, grid)
+            n = len(ladder)  # the rungs at h/2, and the sup histories of both grids
+            _check_memory(pass_bytes(replace(grid, h=grid.h / 2), n, 6 * n, SEED_ROWS))
             with _open_out(args.out) as fh:
                 result = sweep(params, data, grid, ladder)
                 fh.write(result.to_csv())
@@ -432,6 +444,11 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "verify-apriori":
             params = ModelParams(args.p, args.a, args.b, args.eps, args.R)
             data = InitialData(Family.bump, 0.0, args.amplitude_g, args.R)
+            grid = GridSpec(h=args.h, t_max=max(args.T), pad=max(1.0, args.R))
+            if not validate(params, data, grid):  # else verify_apriori names the fault
+                # the free field and L, and 4 block arrays; picard_U2 doubles both
+                k = 1 if args.field == "free" else 2
+                _check_memory(pass_bytes(grid, 2 * k, 6, SEED_ROWS + 4 * k * BLOCK))
             with _open_out(args.out) as fh:
                 rows = verify_apriori(params, data, args.h, args.T, args.field)
                 fh.write(apriori_csv(rows))

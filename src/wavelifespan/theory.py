@@ -145,7 +145,6 @@ class BlowupSequenceState:
     n: int
     a_n: Fraction
     log_M_n: float
-    C1: float
 
 
 def blowup_sequence(
@@ -168,7 +167,7 @@ def blowup_sequence(
     a_n = Fraction(0)
     log_M = math.log(M1)
     for n in range(1, n_max + 1):
-        states.append(BlowupSequenceState(n=n, a_n=a_n, log_M_n=log_M, C1=C1))
+        states.append(BlowupSequenceState(n=n, a_n=a_n, log_M_n=log_M))
         a_n = pf**2 * a_n + pf + 1
         log_M = math.log(C1) - 2.0 * float(p) * n * math.log(float(p)) + p2 * log_M
     return states
@@ -193,27 +192,24 @@ def _con(lead: float, p: float, C: float, M: float) -> float:
     return lead * C ** (1.0 / (p + 1)) * p ** (-2.0 * p * S * (p - 1)) * M ** (p - 1)
 
 
-def K1(x: float, t: float, params: ModelParams, M1: float, C1: Optional[float] = None) -> float:
-    """Case p(1+a)+b = 0 threshold function; blow-up is forced where K1 > 0."""
+def K1(x: float, t: float, params: ModelParams, M1: float) -> float:
+    """Case p(1+a)+b = 0 threshold function at C1 of (p, a, b); blow-up is forced where K1 > 0."""
     p, R = params.p, params.R
     _check_in_D(x, t, R)
     if not 1.0 + t - x > 1.0 + R:
         raise ValueError("need 1+t-x > 1+R for the double logarithm")
-    if C1 is None:
-        C1 = C1_constant(p, params.a, params.b)
+    C1 = C1_constant(p, params.a, params.b)
     return _K(math.log(math.log((1.0 + t - x) / (1.0 + R))), p, C1, M1)
 
 
-def K2(x: float, t: float, params: ModelParams, M1: float, C2: Optional[float] = None) -> float:
-    """Case p(1+a)+b < 0 threshold function on the restricted region D_{a,b}."""
+def K2(x: float, t: float, params: ModelParams, M1: float) -> float:
+    """Case p(1+a)+b < 0 threshold function at C2 of (p, a, b), on the restricted region D_{a,b}."""
     p, a, b, R = params.p, params.a, params.b, params.R
     q = _case2_q(p, a, b, "K2")
     _check_in_D(x, t, R)
     if not 1.0 + t - x > 2.0 ** (1.0 / q) * (1.0 + R):
         raise ValueError("(x, t) outside D_{a,b}")
-    if C2 is None:
-        C2 = C2_constant(p, a, b)
-    return _K(q * math.log(1.0 + t - x), p, C2, M1)
+    return _K(q * math.log(1.0 + t - x), p, C2_constant(p, a, b), M1)
 
 
 def con1_lhs(t0: float, p: float, M1: float, C1: float) -> float:
@@ -238,15 +234,15 @@ def k2_minorant(t0: float, p: float, a: float, b: float, M1: float, C2: float) -
     return _K(math.log(2.0 ** (-q) * t0**q), p, C2, M1)
 
 
-def epsilon_thresholds(params: ModelParams, Cg: float, C1: float) -> tuple[float, Optional[float]]:
-    """Smallness thresholds eps_3 (Case 1) and eps_4 (Case 2) in closed form.
+def epsilon_thresholds(params: ModelParams, Cg: float) -> tuple[float, Optional[float]]:
+    """Smallness thresholds eps_3 (Case 1) and eps_4 (Case 2) in closed form at C1 of (p, a, b).
 
     eps_4 is None when p(1+a)+b >= 0 (Case 2 does not apply).
     """
     p, a, b, R = params.p, params.a, params.b, params.R
-    if Cg <= 0 or C1 <= 0:
-        raise ValueError("Cg and C1 must be positive")
-    B = _con(1.0, p, C1, Cg)
+    if Cg <= 0:
+        raise ValueError("Cg must be positive")
+    B = _con(1.0, p, C1_constant(p, a, b), Cg)
     eps3 = (2.0 * B * (1.0 + R) ** 2) ** (-1.0 / (p * (p - 1)))
     q = -(p * (1 + a) + b)
     eps4 = None

@@ -1,8 +1,10 @@
 """Independent reference evaluations that the tests hold the package to."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from wavelifespan.core import InitialData, ModelParams, align_slack
+from wavelifespan.core import Family, InitialData, ModelParams, align_slack
 from wavelifespan.kernels import bracket
 
 
@@ -45,3 +47,34 @@ def weight_w(x, t, params: ModelParams):
         outer = (t + x + R) ** a
     out = np.where(chi, inner, outer)
     return float(out) if out.ndim == 0 else out
+
+
+@dataclass(frozen=True)
+class FlatTop:
+    """Data f = 0, g = amplitude_g on |x| <= R - 1 with a C^2 taper to 0 at |x| = R.
+
+    It stands in for InitialData wherever march and the leapfrog read their
+    data.  At a = b = -1 the source weight is 1, so on the plateau's domain
+    of dependence u_t = v(t) with v' = |v|^p and v(0) = eps amplitude_g,
+    which blows up at T* = (eps amplitude_g)^(1-p) / (p-1) when T* < R - 1.
+    """
+
+    amplitude_g: float
+    R: float
+    family = Family.bump
+    amplitude_f = 0.0
+
+    def f(self, x):
+        return np.zeros(np.shape(x))
+
+    f_prime = f
+
+    def g(self, x):
+        s = np.clip(np.abs(np.asarray(x, dtype=float)) - (self.R - 1.0), 0.0, 1.0)
+        return self.amplitude_g * (1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s * s))
+
+    def sup_f_prime(self) -> float:
+        return 0.0
+
+    def sup_g(self) -> float:
+        return self.amplitude_g

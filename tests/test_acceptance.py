@@ -209,7 +209,7 @@ def test_criterion_7_blowup_iteration_algebra():
     params = ModelParams(2.0, -0.5, -3.0, 0.1, 1.0)
     p, R = params.p, params.R
     Cg, C1 = 0.9, C1_constant(p, params.a, params.b)
-    eps3, eps4 = epsilon_thresholds(params, Cg, C1)
+    eps3, eps4 = epsilon_thresholds(params, Cg)
     S = S_p2(p)
     B = C1 ** (1.0 / (p + 1)) * p ** (-2.0 * p * S * (p - 1)) * Cg ** (p - 1)
     res3 = abs(2.0 * B * (1.0 + R) ** 2 * eps3 ** (p * (p - 1)) - 1.0)

@@ -199,6 +199,21 @@ class TestValidate:
         bad_mult = GridSpec(h=0.07, t_max=10.0, pad=2.1)
         assert any("multiple of h" in m for m in validate(params, data, bad_mult))
 
+    @pytest.mark.parametrize(
+        "amplitude_g, spec, expected",
+        [
+            (1.0, dict(h=0.0, t_max=2.0), "h must be positive"),
+            (1.0, dict(h=-0.05, t_max=2.0), "h must be positive"),
+            (1.0, dict(h=0.05, t_max=0.0), "t_max must be positive"),
+            (1.0, dict(h=0.05, t_max=-2.0), "t_max must be positive"),
+            (-1.0, dict(h=0.05, t_max=2.0), "amplitude_g must be >= 0 so that integral of g is positive"),
+        ],
+    )
+    def test_grid_step_horizon_and_amplitude(self, amplitude_g, spec, expected):
+        params = ModelParams(2.0, 0.0, 0.0, 0.1, 1.0)
+        data = InitialData(Family.bump, 0.0, amplitude_g, 1.0)
+        assert validate(params, data, GridSpec(pad=3.0, **spec)) == [expected]
+
     def test_t_max_whose_index_is_past_int64(self):
         # 1e20 / 0.05 is an integer, but 2e21 does not fit in int64
         params = ModelParams(2.0, 0.0, 0.0, 0.1, 1.0)

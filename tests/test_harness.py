@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import wavelifespan
+from wavelifespan import harness
 from wavelifespan.core import (
     Cause,
     Family,
@@ -20,6 +21,7 @@ from wavelifespan.core import (
     LifespanEstimate,
     ModelParams,
     Status,
+    pass_bytes,
 )
 from wavelifespan.harness import (
     SweepEntry,
@@ -686,17 +688,92 @@ class TestCli:
         assert "above the 2 GiB limit" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_solve_out_field_limit_is_inclusive(self, tmp_path, monkeypatch):
-        # at h = 0.1, tmax = 1 and pad 1: 11 levels of 41 nodes
-        argv = ["solve", "--eps", "0.01", "--h", "0.1", "--tmax", "1.0", "--out", str(tmp_path / "f.csv")]
-        monkeypatch.setattr("wavelifespan.harness.MAX_FIELD_BYTES", 8 * 11 * 41 - 1)
+    # Footprints in doubles at h = 0.1, T = 1 and pad 1 (n_t = 10, n_x = 41; at h/2,
+    # n_t = 20, n_x = 81): 2 (n_x + n_t) per accumulator, n_t + 1 per level row (4
+    # per sup history, 6 for the a-priori tables), n_x per node row (16 for the
+    # seeding, 4 or 8 block arrays of BLOCK = 32 rows), and (n_t + 1) n_x per field.
+    @pytest.mark.parametrize(
+        "argv, out, doubles, computes",
+        [
+            (["solve"], False, 2 * 51 + 4 * 11 + 16 * 41, "march"),
+            (["solve"], True, 2 * 51 + 4 * 11 + 16 * 41 + 11 * 41, "march"),
+            (["sweep", "--n-eps", "3"], True, 3 * 2 * 101 + 3 * 6 * 21 + 16 * 81, "march_ladder"),
+            (["verify-apriori"], True, 2 * 2 * 51 + 6 * 11 + (16 + 4 * 32) * 41, "apriori_profiles"),
+            (["verify-apriori", "--field", "picard_U2"], True,
+             4 * 2 * 51 + 6 * 11 + (16 + 8 * 32) * 41, "apriori_profiles"),
+        ],
+    )
+    def test_memory_limit_is_inclusive(self, argv, out, doubles, computes, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "out.csv"
+        tail = ["--out", str(path)] if out else []
+        grid = ["--h", "0.1", "--T" if argv[0] == "verify-apriori" else "--tmax", "1"]
+        argv = [*argv, "--a", "-0.5", *grid, *tail]
+        calls = []
+        real = getattr(harness, computes)
+        monkeypatch.setattr(harness, computes, lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        monkeypatch.setattr(harness, "MAX_PASS_BYTES", 8 * doubles - 1)
         assert run_cli(argv) == 1
-        assert not (tmp_path / "f.csv").exists()
-        monkeypatch.setattr("wavelifespan.harness.MAX_FIELD_BYTES", 8 * 11 * 41)
+        size, limit = 8 * doubles / 2**30, (8 * doubles - 1) / 2**30
+        assert f"the pass would hold {size:.3g} GiB, above the {limit:g} GiB limit" in capsys.readouterr().err
+        assert calls == [] and not path.exists()
+        monkeypatch.setattr(harness, "MAX_PASS_BYTES", 8 * doubles)
         assert run_cli(argv) == 0
-        assert len((tmp_path / "f.csv").read_text().splitlines()) == 1 + 11 * 41
-        monkeypatch.setattr("wavelifespan.harness.MAX_FIELD_BYTES", 0)
-        assert run_cli(argv[:-2]) == 0  # without --out no field is stored, so no limit applies
+        assert calls != [] and path.exists() == out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--a", "-0.5", "--eps", "2", "--tmax", "300"],
+            ["sweep", "--a", "-0.5", "--h", "0.1", "--tmax", "300", "--n-eps", "3",
+             "--t-lo", "0.25", "--t-hi", "0.5"],
+            ["verify-apriori", "--a", "-0.5", "--eps", "0.01", "--T", "100"],
+            ["verify-apriori", "--a", "-0.5", "--eps", "0.01", "--T", "100", "--field", "picard_U2"],
+        ],
+    )
+    def test_memory_footprint_bounds_the_traced_peak(self, argv, monkeypatch):
+        # the seeding's scratch sets the marches' peak, the level blocks the a-priori passes'
+        sizes = []
+        monkeypatch.setattr(harness, "pass_bytes", lambda *args: sizes.append(pass_bytes(*args)) or sizes[-1])
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sizes[0] <= 2 * peak
+
+    @pytest.mark.parametrize(
+        "argv, computes",
+        [
+            (["solve", "--tmax", "1e9"], "march"),
+            (["sweep", "--tmax", "1e9"], "march_ladder"),
+            (["verify-apriori", "--a", "-0.5", "--T", "1e8"], "apriori_profiles"),
+        ],
+    )
+    def test_passes_past_the_memory_limit_exit_1_before_computing(
+        self, argv, computes, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(harness, computes, lambda *args, **kwargs: calls.append(1))
+        out = tmp_path / "out.csv"
+        assert run_cli([*argv, "--out", str(out)]) == 1
+        assert re.search(r"the pass would hold [\d.e+]+ GiB, above the 2 GiB limit", capsys.readouterr().err)
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("argv", [["classify"], ["bounds"], ["blowup-seq"], ["phase-diagram"]])
+    def test_commands_that_ignore_R_reject_it(self, argv, capsys):
+        assert run_cli([*argv, "--R", "2"]) == 1
+        assert "unrecognized arguments: --R 2" in capsys.readouterr().err
+
+    def test_verify_apriori_out_holds_the_ratio_csv(self, tmp_path):
+        out = tmp_path / "apriori.csv"
+        argv = ["verify-apriori", "--p", "2.5", "--a", "-0.5", "--b", "-1", "--eps", "0.02", "--R", "1.5",
+                "--h", "0.1", "--T", "10", "5", "--field", "picard_U2", "--amplitude-g", "2", "--out", str(out)]
+        assert run_cli(argv) == 0
+        params = ModelParams(2.5, -0.5, -1.0, 0.02, 1.5)
+        rows = verify_apriori(params, InitialData(Family.bump, 0.0, 2.0, 1.5), 0.1, [5.0, 10.0], "picard_U2")
+        assert out.read_text() == apriori_csv(rows)
+        assert len(rows) == 2
 
     @pytest.mark.parametrize("t_lo", ["1", "0.5"])
     def test_exponential_sweep_to_T_at_most_one_exits_1_before_marching(self, t_lo, capsys, monkeypatch):

@@ -24,8 +24,13 @@ method of a class not in wavelifespan.__all__ is read as an attribute
 local variable of the same name does not count.  So src/ holds only what
 the CLI, the library API and the benchmark run; a reference that only the
 tests call belongs under tests/.
+
+Every flag that a CLI subcommand of harness._build_parser accepts is read
+as args.<dest> in that command's `if args.command == ...` branch of
+run_cli, so no command takes an option it ignores.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -219,6 +224,33 @@ def checked_code_imports(source: str) -> list:
     return sorted(lines)
 
 
+def unread_flags(parser: argparse.ArgumentParser, source: str) -> list:
+    """'command --flag' for each flag that the command's `if args.command == ...`
+    branch of source never reads as args.<dest>."""
+    read = {}
+    for node in ast.walk(ast.parse(source)):
+        test = node.test if isinstance(node, ast.If) else None
+        if (
+            isinstance(test, ast.Compare)
+            and isinstance(test.left, ast.Attribute)
+            and test.left.attr == "command"
+            and isinstance(test.comparators[0], ast.Constant)
+        ):
+            read[test.comparators[0].value] = {
+                n.attr
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "args"
+            }
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        f"{name} {action.option_strings[0]}"
+        for name, command in sub.choices.items()
+        for action in command._actions
+        if action.dest != "help" and action.dest not in read.get(name, set())
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert BENCH, "the benchmark sources were not found next to src/"
@@ -257,6 +289,11 @@ def test_only_core_rounds_onto_the_lattice(name):
 def test_per_level_reductions_are_array_methods(name):
     path = next(m for m in MODULES if m.name == name)
     assert function_form_reductions(path.read_text()) == []
+
+
+def test_every_cli_flag_is_read_by_its_command():
+    harness = next(m for m in MODULES if m.name == "harness.py")
+    assert unread_flags(wavelifespan.harness._build_parser(), harness.read_text()) == []
 
 
 def test_oracle_imports_nothing_it_checks():
@@ -315,3 +352,12 @@ def test_checks_flag_what_they_should():
     assert function_form_reductions(source) == [27]
     core = next(m for m in MODULES if m.name == "core.py")
     assert align_tol_reads(core.read_text()) != []
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers(dest="command")
+    for name in ("used", "ignored", "absent"):
+        sub.add_parser(name).add_argument("--R-max", type=float)
+    cli = (
+        "if args.command == 'used':\n    print(args.R_max)\n"
+        "if args.command == 'ignored':\n    print(args.command)\nelse:\n    print(args.R_max)\n"
+    )
+    assert unread_flags(parser, cli) == ["ignored --R-max", "absent --R-max"]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,6 +181,20 @@ class TestCompareFields:
             compare_fields(field, result, (1.0, -1.0, 0.0, 2.0))
         with pytest.raises(ValueError):
             compare_fields(field, result, (-1.0, 1.0, 50.0, 60.0))
+
+    def test_rejects_windows_without_matched_nodes_and_short_runs(self, bump_data):
+        params = ModelParams(2.0, 0.0, 0.0, 1e-4, 1.0)
+        field, _ = march(params, bump_data, GridSpec(h=0.05, t_max=2.0, pad=1.0))
+        result, _ = leapfrog_solve(params, bump_data, dx=0.01, cfl=0.9, t_max=0.5)
+        assert compare_fields(field, result, (-2.5, 2.5, 0.0, 0.5)) >= 0.0
+        # no march node in x, though x_lo < x_hi
+        with pytest.raises(ValueError, match="empty comparison window"):
+            compare_fields(field, result, (10.0, 11.0, 0.0, 0.5))
+        # the march grid reaches |x| = 3, the leapfrog's only 2.5
+        with pytest.raises(ValueError, match="window exceeds the leapfrog domain"):
+            compare_fields(field, result, (-3.0, 3.0, 0.0, 0.5))
+        with pytest.raises(ValueError, match="too few levels for a centered difference"):
+            compare_fields(field, replace(result, n_levels=2), (-2.5, 2.5, 0.0, 0.5))
 
     def test_rejects_grids_whose_nodes_do_not_coincide(self):
         params = ModelParams(2.0, -1.0, -1.0, 0.5, 1.0)

@@ -563,6 +563,18 @@ class TestPicard:
         assert all(math.isfinite(v) for v in report.norms + report.diff_norms)
         assert report.final is None
 
+    @pytest.mark.parametrize(
+        "eps, n_norms", [(1.2e154, 1), (1e154, 2)]  # iterate U_2, then source 2, overflows
+    )
+    def test_divergence_stops_at_the_first_non_finite_step(self, bump_data, eps, n_norms):
+        # at 1.2e154 the source |B|^2 is finite but L' of it is not
+        params = ModelParams(2.0, -1.0, -1.0, eps, 1.0)
+        report = picard_iterate(params, bump_data, GridSpec(h=0.1, t_max=10.0, pad=1.0), 10.0, j_max=4)
+        assert report.diverged_at == 2
+        assert len(report.norms) == n_norms and len(report.diff_norms) == n_norms - 1
+        assert all(math.isfinite(v) for v in report.norms + report.diff_norms)
+        assert report.final is None
+
     def test_memory_is_one_field_plus_blocks(self, bump_data):
         params = ModelParams(2.0, 0.5, 0.0, 0.01, 1.0)
         grid = GridSpec(h=0.05, t_max=20.0, pad=1.0)
@@ -651,6 +663,14 @@ class TestNormsAndReconstruction:
         expected = cumulative_trapezoid(field.levels, dx=grid.h, axis=0, initial=0.0)
         expected += params.epsilon * data.f(grid.x_nodes())[None, :]
         assert np.array_equal(reconstruct_u(field, data, params.epsilon), expected)
+
+    def test_residual_requires_three_levels(self, bump_data):
+        params = ModelParams(2.0, 0.0, 0.0, 0.1, 1.0)
+        field, _ = march(params, bump_data, GridSpec(h=0.1, t_max=2.0, pad=1.0))
+        u = reconstruct_u(field, bump_data, params.epsilon)
+        assert pde_residual(u[:3], field, params) >= 0.0
+        with pytest.raises(ValueError, match="need at least three time levels"):
+            pde_residual(u[:2], field, params)
 
     def test_residual_requires_field(self, bump_data):
         params = ModelParams(2.0, 0.0, 0.0, 0.1, 1.0)

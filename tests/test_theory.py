@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from wavelifespan.core import ModelParams, RegimeKind
 from wavelifespan.theory import (
+    BlowupSequenceState,
     C0_constant,
     C1_constant,
     C2_constant,
@@ -190,10 +192,14 @@ class TestConstants:
 
 
 class TestBlowupSequence:
+    def test_states_carry_no_constant(self):
+        # C1 follows from (p, a, b); theory.C1_constant gives it
+        assert {f.name for f in fields(BlowupSequenceState)} == {"n", "a_n", "log_M_n"}
+
     def test_states_follow_both_recursions(self):
         p, M1 = 2, 0.01
         states = blowup_sequence(p, 8, M1)
-        C1 = states[0].C1
+        C1 = C1_constant(p, 0.0, 0.0)  # blowup_sequence's default a = b = 0
         for s in states:
             assert s.a_n == a_n_closed_form(p, s.n)
         for prev, cur in zip(states, states[1:]):
@@ -245,15 +251,28 @@ class TestThresholdAlgebra:
         params = ModelParams(2.0, 0.5, -3.0, 0.1, 1.0)
         for t0 in (20.0, 50.0, 200.0):
             M1, C1 = 0.01, C1_constant(2.0, 0.5, -3.0)
-            assert K1(t0 / 2.0, t0, params, M1, C1) >= k1_minorant(t0, 2.0, M1, C1) - 1e-12
+            assert K1(t0 / 2.0, t0, params, M1) >= k1_minorant(t0, 2.0, M1, C1) - 1e-12
 
     def test_K2_dominates_minorant(self):
         params = ModelParams(2.0, -0.5, -3.0, 0.1, 1.0)
         for t0 in (20.0, 50.0, 200.0):
             M1, C2 = 0.01, C2_constant(2.0, -0.5, -3.0)
-            assert K2(t0 / 2.0, t0, params, M1, C2) >= k2_minorant(
+            assert K2(t0 / 2.0, t0, params, M1) >= k2_minorant(
                 t0, 2.0, -0.5, -3.0, M1, C2
             ) - 1e-12
+
+    @pytest.mark.parametrize("x, t, R", [(5.0, 20.0, 1.0), (0.0, 40.0, 2.5)])
+    def test_K1_and_K2_take_their_constant_from_p_a_b(self, x, t, R):
+        p, M1 = 2.0, 0.01
+        tail = -S_p2(p) * math.log(p ** (2 * p)) + math.log(M1)
+        params = ModelParams(p, 0.5, -3.0, 0.1, R)
+        lead = math.log(math.log((1.0 + t - x) / (1.0 + R))) / (p - 1)
+        expected = lead + math.log(C1_constant(p, 0.5, -3.0)) / (p**2 - 1) + tail
+        assert K1(x, t, params, M1) == pytest.approx(expected, rel=1e-12)
+        params = ModelParams(p, -0.5, -3.0, 0.1, R)
+        lead = 2.0 * math.log(1.0 + t - x) / (p - 1)  # q = -(p(1+a)+b) = 2
+        expected = lead + math.log(C2_constant(p, -0.5, -3.0)) / (p**2 - 1) + tail
+        assert K2(x, t, params, M1) == pytest.approx(expected, rel=1e-12)
 
     def test_region_checks(self):
         params = ModelParams(2.0, 0.5, -3.0, 0.1, 1.0)
@@ -267,7 +286,7 @@ class TestThresholdAlgebra:
         params = ModelParams(2.0, -0.5, -3.0, 0.1, 1.0)
         p, R = params.p, params.R
         Cg, C1 = 0.9, C1_constant(p, params.a, params.b)
-        eps3, eps4 = epsilon_thresholds(params, Cg, C1)
+        eps3, eps4 = epsilon_thresholds(params, Cg)
         S = S_p2(p)
         B = C1 ** (1.0 / (p + 1)) * p ** (-2.0 * p * S * (p - 1)) * Cg ** (p - 1)
         assert 2.0 * B * (1.0 + R) ** 2 * eps3 ** (p * (p - 1)) == pytest.approx(1.0, rel=1e-12)
@@ -278,7 +297,7 @@ class TestThresholdAlgebra:
 
     def test_eps4_absent_without_case2(self):
         params = ModelParams(2.0, 0.0, 0.0, 0.1, 1.0)
-        eps3, eps4 = epsilon_thresholds(params, 1.0, C1_constant(2.0, 0.0, 0.0))
+        eps3, eps4 = epsilon_thresholds(params, 1.0)
         assert eps3 > 0
         assert eps4 is None
 
