@@ -191,15 +191,6 @@ class GridSpec:
         return lattice_index(t, self.h, f"t={shown} is not a lattice level")
 
 
-def pass_bytes(grid: GridSpec, accumulators: int, level_rows: int, node_rows: int, stored=False):
-    """Peak bytes of a pass over grid, an exact int: 2 (n_x + n_t) doubles per
-    CharAccumulator, n_t + 1 per level row (a sup history's 32-byte list items
-    count as 4 rows), n_x per node row (scratch), and (n_t + 1) n_x if stored."""
-    n_x, n_t = grid.n_x, grid.n_t
-    rows = level_rows * (n_t + 1) + (node_rows + stored * (n_t + 1)) * n_x
-    return 8 * (2 * accumulators * (n_x + n_t) + rows)
-
-
 @dataclass
 class CharField:
     """U = u_t sampled on the characteristic lattice.

@@ -21,19 +21,18 @@ from .core import (
     ModelParams,
     RegimeKind,
     load_config_file,
-    pass_bytes,
     require_valid,
     validate,
 )
 # the benchmark wraps free_solution_dt and apply_duhamel_field at these names
 from .kernels import free_solution_dt  # noqa: F401
 from .solver import apply_duhamel_field  # noqa: F401
-from .solver import BLOCK, apriori_profiles, dump_field_csv, march, march_ladder
+from .solver import apriori_bytes, apriori_profiles, dump_field_csv, march, march_bytes
+from .solver import march_ladder, sup_history_bytes
 
 RESOLVE_TOL = 0.05
 EXP_REACH = 1e4  # in units of R: longer exponential-regime lifespans are not marched
-MAX_PASS_BYTES = 2 * 2**30  # largest core.pass_bytes that a CLI command's pass may hold
-SEED_ROWS = 16  # node rows that seeding a CharAccumulator holds at its peak
+MAX_PASS_BYTES = 2 * 2**30  # largest march_bytes or apriori_bytes of a CLI command's pass
 
 
 @dataclass
@@ -93,6 +92,16 @@ def make_epsilon_ladder(
     return sorted(eps_lo * ratio**k for k in range(n))
 
 
+def _out_of_reach(params: ModelParams, eps: float) -> bool:
+    """Whether sweep leaves the rung eps unmarched as out of numerical reach:
+    in an exponential regime, eps = 0 or a lifespan predicted (the bounds
+    formula with c = 1) past EXP_REACH * R."""
+    p, a, b = params.p, params.a, params.b
+    exponential, _ = theory.lifespan_rate(p, a, b)
+    reach = EXP_REACH * params.R
+    return exponential and (eps == 0 or theory.lifespan_bound(p, a, b, eps, 1.0) > reach)
+
+
 def sweep(
     params: ModelParams,
     data: InitialData,
@@ -122,7 +131,6 @@ def sweep(
         raise ValueError("blow-up sweeps require f = 0 and a positive bump g")
 
     ladder = sorted(map(float, ladder), key=lambda e: (math.isnan(e), e))
-    exponential, _ = theory.lifespan_rate(params.p, params.a, params.b)
     fine = GridSpec(h=grid.h / 2.0, t_max=grid.t_max, pad=grid.pad)
 
     def error_of(eps: float) -> Optional[str]:
@@ -131,10 +139,7 @@ def sweep(
                 require_valid(replace(params, epsilon=eps), data, g)
         except ValueError as exc:
             return str(exc)
-        if exponential and (
-            eps == 0
-            or theory.lifespan_bound(params.p, params.a, params.b, eps, 1.0) > EXP_REACH * params.R
-        ):
+        if _out_of_reach(params, eps):
             return "out_of_numerical_reach"
         return None
 
@@ -341,7 +346,7 @@ def _open_out(out: Optional[str]):
 
 
 def _check_memory(size: int) -> None:
-    """ValueError naming size, a core.pass_bytes, when it exceeds MAX_PASS_BYTES."""
+    """ValueError naming size, the bytes of a pass, when it exceeds MAX_PASS_BYTES."""
     if size > MAX_PASS_BYTES:
         raise ValueError(
             f"the pass would hold {size / 2**30:.3g} GiB, above the "
@@ -411,7 +416,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
                 data = InitialData(Family.bump, 0.0, 1.0, args.R)
                 grid = GridSpec(h=args.h, t_max=args.tmax, pad=max(1.0, args.R))
             require_valid(params, data, grid)
-            _check_memory(pass_bytes(grid, 1, 4, SEED_ROWS, bool(args.out)))  # one rung, its sups
+            _check_memory(march_bytes(grid, 1, bool(args.out)))
             with _open_out(args.out) as fh:
                 field, est = march(params, data, grid, keep_field=bool(args.out))
                 if args.out:
@@ -427,8 +432,9 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
                 raise ValueError("--fit needs --n-eps >= 3")
             ladder = make_epsilon_ladder(args.p, args.a, args.b, args.t_lo, args.t_hi, args.n_eps)
             require_valid(params, data, grid)
-            n = len(ladder)  # the rungs at h/2, and the sup histories of both grids
-            _check_memory(pass_bytes(replace(grid, h=grid.h / 2), n, 6 * n, SEED_ROWS))
+            n = sum(not _out_of_reach(params, eps) for eps in ladder)  # the rungs marched
+            fine = replace(grid, h=grid.h / 2)  # the larger pass, with the coarse one's records
+            _check_memory(march_bytes(fine, n, False) + sup_history_bytes(grid, n))
             with _open_out(args.out) as fh:
                 result = sweep(params, data, grid, ladder)
                 fh.write(result.to_csv())
@@ -446,9 +452,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             data = InitialData(Family.bump, 0.0, args.amplitude_g, args.R)
             grid = GridSpec(h=args.h, t_max=max(args.T), pad=max(1.0, args.R))
             if not validate(params, data, grid):  # else verify_apriori names the fault
-                # the free field and L, and 4 block arrays; picard_U2 doubles both
-                k = 1 if args.field == "free" else 2
-                _check_memory(pass_bytes(grid, 2 * k, 6, SEED_ROWS + 4 * k * BLOCK))
+                _check_memory(apriori_bytes(grid, args.field))
             with _open_out(args.out) as fh:
                 rows = verify_apriori(params, data, args.h, args.T, args.field)
                 fh.write(apriori_csv(rows))

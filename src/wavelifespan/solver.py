@@ -16,6 +16,8 @@ one slice of its last and widest level: their sources vanish outside
 each level's cone, where the unseeded sums hold +0.0, so the extra nodes
 change nothing.  picard_iterate stores only its last iterate, in one
 field plus O(j_max (n_x + n_t)), and none when the sequence diverged.
+march_bytes and apriori_bytes count the peak bytes of a march and of an
+a-priori pass, for the CLI to check before it starts one.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ BLOCK = 32
 # Newton's per-node residual tolerance and step budget in march
 INNER_TOL = 1e-12
 INNER_MAX = 50
+
+SEED_ROWS = 16  # node rows of n_x doubles that seeding a CharAccumulator holds at its peak
 
 
 def _fold_cap(gamma: np.ndarray, p: float) -> np.ndarray:
@@ -212,6 +216,19 @@ def march(
     return march_ladder(params, data, grid, [params.epsilon], keep_field, track_weighted_sup)[0]
 
 
+def sup_history_bytes(grid: GridSpec, rungs: int) -> int:
+    """Bytes of the sup histories of march_ladder's rungs: lists of 32-byte floats."""
+    return 32 * rungs * (grid.n_t + 1)
+
+
+def march_bytes(grid: GridSpec, rungs: int, keep_field: bool) -> int:
+    """Peak bytes of march_ladder over grid: each rung's accumulator (2 (n_x + n_t)
+    doubles), sup history and, if kept, field, and the seeding's scratch."""
+    n_x, n_t = grid.n_x, grid.n_t
+    per_rung = 2 * (n_x + n_t) + keep_field * (n_t + 1) * n_x
+    return 8 * (rungs * per_rung + SEED_ROWS * n_x) + sup_history_bytes(grid, rungs)
+
+
 def apply_duhamel_field(source: np.ndarray, grid: GridSpec, params: ModelParams) -> np.ndarray:
     """L' applied to a lattice source field (|v|^p already taken by caller).
 
@@ -304,6 +321,15 @@ def apriori_profiles(
             source[:, cols] = absB ** (params.p - 1) * np.abs(L[:, cols]) * W_cols  # 0 off cols
             out[2, rows] = _masked_weighted_sup(_explicit_block(acc_LB, n0, lo, source), w)
     return out
+
+
+def apriori_bytes(grid: GridSpec, test_field: str) -> int:
+    """Peak bytes of apriori_profiles over grid, with the running maximum that
+    verify_apriori takes of its table: the free field's and L's accumulators
+    (picard_U2 adds two), the table and its maximum (6 rows of n_t + 1), and the
+    seeding's scratch and 4 level blocks of BLOCK x n_x per pair of accumulators."""
+    n_x, n_t, k = grid.n_x, grid.n_t, 1 if test_field == "free" else 2
+    return 8 * (4 * k * (n_x + n_t) + 6 * (n_t + 1) + (SEED_ROWS + 4 * k * BLOCK) * n_x)
 
 
 @dataclass

@@ -21,7 +21,6 @@ from wavelifespan.core import (
     LifespanEstimate,
     ModelParams,
     Status,
-    pass_bytes,
 )
 from wavelifespan.harness import (
     SweepEntry,
@@ -34,7 +33,14 @@ from wavelifespan.harness import (
     verify_apriori,
 )
 from wavelifespan.kernels import CharAccumulator, weight_w
-from wavelifespan.solver import BLOCK, apply_duhamel_field, apriori_profiles, march
+from wavelifespan.solver import (
+    BLOCK,
+    apply_duhamel_field,
+    apriori_profiles,
+    march,
+    march_bytes,
+    sup_history_bytes,
+)
 from wavelifespan.theory import D_a, E_ab, lifespan_bound
 
 
@@ -691,13 +697,15 @@ class TestCli:
     # Footprints in doubles at h = 0.1, T = 1 and pad 1 (n_t = 10, n_x = 41; at h/2,
     # n_t = 20, n_x = 81): 2 (n_x + n_t) per accumulator, n_t + 1 per level row (4
     # per sup history, 6 for the a-priori tables), n_x per node row (16 for the
-    # seeding, 4 or 8 block arrays of BLOCK = 32 rows), and (n_t + 1) n_x per field.
+    # seeding, 4 or 8 block arrays of BLOCK = 32 rows), and (n_t + 1) n_x per field;
+    # sweep counts its pass at h/2 and the sup histories of its pass at h.
     @pytest.mark.parametrize(
         "argv, out, doubles, computes",
         [
             (["solve"], False, 2 * 51 + 4 * 11 + 16 * 41, "march"),
             (["solve"], True, 2 * 51 + 4 * 11 + 16 * 41 + 11 * 41, "march"),
-            (["sweep", "--n-eps", "3"], True, 3 * 2 * 101 + 3 * 6 * 21 + 16 * 81, "march_ladder"),
+            (["sweep", "--n-eps", "3"], True,
+             3 * 2 * 101 + 3 * 4 * 21 + 16 * 81 + 3 * 4 * 11, "march_ladder"),
             (["verify-apriori"], True, 2 * 2 * 51 + 6 * 11 + (16 + 4 * 32) * 41, "apriori_profiles"),
             (["verify-apriori", "--field", "picard_U2"], True,
              4 * 2 * 51 + 6 * 11 + (16 + 8 * 32) * 41, "apriori_profiles"),
@@ -719,6 +727,8 @@ class TestCli:
         monkeypatch.setattr(harness, "MAX_PASS_BYTES", 8 * doubles)
         assert run_cli(argv) == 0
         assert calls != [] and path.exists() == out
+        if argv[0] == "solve" and out:  # the whole field: a header and 11 levels of 41 nodes
+            assert len(path.read_text().splitlines()) == 1 + 11 * 41
 
     @pytest.mark.parametrize(
         "argv",
@@ -732,8 +742,8 @@ class TestCli:
     )
     def test_memory_footprint_bounds_the_traced_peak(self, argv, monkeypatch):
         # the seeding's scratch sets the marches' peak, the level blocks the a-priori passes'
-        sizes = []
-        monkeypatch.setattr(harness, "pass_bytes", lambda *args: sizes.append(pass_bytes(*args)) or sizes[-1])
+        sizes, check = [], harness._check_memory
+        monkeypatch.setattr(harness, "_check_memory", lambda size: sizes.append(size) or check(size))
         tracemalloc.start()
         try:
             assert run_cli(argv) == 0
@@ -759,6 +769,20 @@ class TestCli:
         assert run_cli([*argv, "--out", str(out)]) == 1
         assert re.search(r"the pass would hold [\d.e+]+ GiB, above the 2 GiB limit", capsys.readouterr().err)
         assert calls == [] and not out.exists()
+
+    def test_sweep_counts_only_the_rungs_it_marches(self, tmp_path, monkeypatch):
+        # predicted lifespans 2, 447 and 1e5: the last is past EXP_REACH * R, so not marched
+        argv = ["sweep", "--p", "2", "--a", "0", "--b", "0", "--h", "0.1", "--tmax", "1",
+                "--t-lo", "2", "--t-hi", "1e5", "--n-eps", "3", "--out", str(tmp_path / "s.csv")]
+        sizes, rungs, check, real = [], [], harness._check_memory, harness.march_ladder
+        monkeypatch.setattr(harness, "_check_memory", lambda size: sizes.append(size) or check(size))
+        monkeypatch.setattr(
+            harness, "march_ladder", lambda p, d, g, eps, **kw: rungs.append(len(eps)) or real(p, d, g, eps, **kw)
+        )
+        assert run_cli(argv) == 0
+        assert rungs == [2, 2]
+        grid = GridSpec(h=0.1, t_max=1.0, pad=1.0)
+        assert sizes == [march_bytes(replace(grid, h=0.05), 2, False) + sup_history_bytes(grid, 2)]
 
     @pytest.mark.parametrize("argv", [["classify"], ["bounds"], ["blowup-seq"], ["phase-diagram"]])
     def test_commands_that_ignore_R_reject_it(self, argv, capsys):
