@@ -327,7 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=float, default=0.05)
     sp.add_argument("--T", type=float, nargs="+", default=[10.0, 20.0, 40.0, 80.0])
     sp.add_argument("--field", choices=["free", "picard_U2"], default="free")
-    sp.add_argument("--amplitude-g", type=float, default=1.0)
     sp.add_argument("--out", type=str, default=None)
 
     sp = sub.add_parser("blowup-seq", help="pointwise blow-up iteration sequences")
@@ -449,7 +448,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "verify-apriori":
             params = ModelParams(args.p, args.a, args.b, args.eps, args.R)
-            data = InitialData(Family.bump, 0.0, args.amplitude_g, args.R)
+            data = InitialData(Family.bump, 0.0, 1.0, args.R)
             grid = GridSpec(h=args.h, t_max=max(args.T), pad=max(1.0, args.R))
             if not validate(params, data, grid):  # else verify_apriori names the fault
                 _check_memory(apriori_bytes(grid, args.field))

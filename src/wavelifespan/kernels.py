@@ -54,7 +54,7 @@ class CharAccumulator:
     """Running trapezoid sums of a source along both characteristic families.
 
     Node (i, n) reads the plus diagonal i + n and the minus diagonal i - n
-    (stored offset by n_t) of a lattice with n_x nodes and levels 0..n_t.
+    (stored offset by n_t) of the grid's n_x nodes and levels 0..n_t.
     The sums include the trapezoid factor c = h/2, so plus + minus at a node
     is the trapezoid L' of the levels below it.  A seeded accumulator starts
     the two families at the halves of eps*u_t0 that d'Alembert carries along
@@ -62,10 +62,10 @@ class CharAccumulator:
     so plus + minus adds eps*u_t0 as well.
     """
 
-    def __init__(self, n_x: int, n_t: int, h: float):
-        self.c, self.off = 0.5 * h, n_t
-        self.plus = np.zeros(n_x + n_t)
-        self.minus = np.zeros(n_x + n_t)
+    def __init__(self, grid: GridSpec):
+        self.c, self.off = 0.5 * grid.h, grid.n_t
+        self.plus = np.zeros(grid.n_x + grid.n_t)
+        self.minus = np.zeros(grid.n_x + grid.n_t)
 
     @classmethod
     def seeded(cls, data: InitialData, grid: GridSpec, epsilon: float) -> CharAccumulator:
@@ -74,7 +74,7 @@ class CharAccumulator:
         free_solution_dt is the pointwise reference for the seeded values.
         """
         k, n_x = grid.n_t, grid.n_x
-        acc = cls(n_x, k, grid.h)
+        acc = cls(grid)
         y = grid.x_min + grid.h * np.arange(-k, n_x + k)
         g, fp = data.g(y), data.f_prime(y)
         acc.plus[:] = 0.5 * epsilon * (g[k:] + fp[k:])

@@ -236,11 +236,10 @@ def apply_duhamel_field(source: np.ndarray, grid: GridSpec, params: ModelParams)
     0..len(source)-1 of grid; the weight is applied here.  Explicit
     trapezoid: no endpoint implicitness.
     """
-    n_levels, n_x = source.shape
     x = grid.x_nodes()
-    acc = CharAccumulator(n_x, n_levels - 1, grid.h)
+    acc = CharAccumulator(grid)
     out = np.zeros_like(source)
-    for n in range(n_levels):
+    for n in range(len(source)):
         lo, hi = grid.active_slice(n, params.R)
         G = source[n, lo : hi + 1] * nonlinear_weight(x[lo : hi + 1], n * grid.h, params)
         out[n, lo : hi + 1] = acc.explicit_step(n, lo, hi, G)
@@ -258,8 +257,8 @@ def _explicit_block(acc: CharAccumulator, n0: int, lo: int, G: np.ndarray) -> np
     return np.stack([acc.explicit_step(n0 + j, lo, hi, row) for j, row in enumerate(G)])
 
 
-def _level_blocks(params: ModelParams, data: InitialData, grid: GridSpec, n_last: int):
-    """Levels 0..n_last in blocks of BLOCK, as (n0, lo, xa, t, B).
+def _level_blocks(params: ModelParams, data: InitialData, grid: GridSpec):
+    """Levels 0..n_t of grid in blocks of BLOCK, as (n0, lo, xa, t, B).
 
     xa are the x nodes lo..hi of the active slice of the block's last and
     widest level, t is the column of the block's times and B the free data
@@ -269,8 +268,8 @@ def _level_blocks(params: ModelParams, data: InitialData, grid: GridSpec, n_last
     """
     x = grid.x_nodes()
     free = CharAccumulator.seeded(data, grid, params.epsilon)
-    for n0 in range(0, n_last + 1, BLOCK):
-        n1 = min(n0 + BLOCK, n_last + 1)
+    for n0 in range(0, grid.n_t + 1, BLOCK):
+        n1 = min(n0 + BLOCK, grid.n_t + 1)
         lo, hi = grid.active_slice(n1 - 1, params.R)
         t = grid.h * np.arange(n0, n1)[:, None]
         yield n0, lo, x[lo : hi + 1], t, free.values(n0, n1, lo, hi)
@@ -293,12 +292,12 @@ def apriori_profiles(
     require_valid(params, data, grid)
     if test_field not in ("free", "picard_U2"):
         raise ValueError(f"unknown test field {test_field!r}")
-    acc = CharAccumulator(grid.n_x, grid.n_t, grid.h)  # L
+    acc = CharAccumulator(grid)  # L
     if test_field == "picard_U2":
-        acc_LU, acc_LB = (CharAccumulator(grid.n_x, grid.n_t, grid.h) for _ in range(2))
+        acc_LU, acc_LB = CharAccumulator(grid), CharAccumulator(grid)
     out = np.empty((3, grid.n_t + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for n0, lo, xa, t, B in _level_blocks(params, data, grid, grid.n_t):
+        for n0, lo, xa, t, B in _level_blocks(params, data, grid):
             rows = slice(n0, n0 + len(t))
             w = weight_w(xa, t, params)
             cols = (B != 0.0).any(axis=0)
@@ -347,9 +346,9 @@ class PicardReport:
 
 
 def picard_iterate(
-    params: ModelParams, data: InitialData, grid: GridSpec, T: float, j_max: int
+    params: ModelParams, data: InitialData, grid: GridSpec, j_max: int
 ) -> PicardReport:
-    """Stream the Picard sequence on [0, T] and record its weighted norms.
+    """Stream the Picard sequence over the levels of grid and record its weighted norms.
 
     U_{j+1} needs U_j only on its level and below, so all iterates advance
     together through each block.  diverged_at is the j of the first
@@ -358,17 +357,12 @@ def picard_iterate(
     require_valid(params, data, grid)
     if j_max < 2:
         raise ValueError("j_max must be >= 2")
-    if not (T >= 0 and np.isfinite(T)):
-        raise ValueError(f"T={T:g} must be finite and >= 0")
-    n_T = grid.index_of_t(T)
-    if n_T > grid.n_t:
-        raise ValueError("T exceeds the grid horizon")
-    accs = [CharAccumulator(grid.n_x, n_T, grid.h) for _ in range(1, j_max)]
+    accs = [CharAccumulator(grid) for _ in range(1, j_max)]
     norms, diffs = np.zeros(j_max), np.zeros(j_max - 1)
-    final = np.zeros((n_T + 1, grid.n_x))
+    final = np.zeros((grid.n_t + 1, grid.n_x))
     bad = 2 * j_max  # first non-finite step: 2j for source j, 2j + 1 for iterate j + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for n0, lo, xa, t, B in _level_blocks(params, data, grid, n_T):
+        for n0, lo, xa, t, B in _level_blocks(params, data, grid):
             w, W = weight_w(xa, t, params), nonlinear_weight(xa, t, params)
             U = np.zeros_like(B)  # U_1 = 0
             for j, acc in enumerate(accs, start=1):
@@ -401,9 +395,10 @@ def reconstruct_u(field: CharField, data: InitialData, epsilon: float) -> np.nda
     return u
 
 
-def pde_residual(u: np.ndarray, field: CharField, params: ModelParams) -> float:
-    """sup over interior nodes of |D_tt u - D_xx u - |U|^p * weight|."""
-    U = field.stored_levels()
+def pde_residual(field: CharField, data: InitialData, params: ModelParams) -> float:
+    """sup over interior nodes of |D_tt u - D_xx u - |U|^p * weight|, where U is
+    the stored field and u its reconstruct_u."""
+    u = reconstruct_u(field, data, params.epsilon)
     grid = field.grid
     h = grid.h
     if u.shape[0] < 3:
@@ -413,7 +408,7 @@ def pde_residual(u: np.ndarray, field: CharField, params: ModelParams) -> float:
     d_tt = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / h**2
     d_xx = (u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]) / h**2
     W = nonlinear_weight(x[None, :], t[:, None], params)
-    res = d_tt - d_xx - np.abs(U[1:-1, 1:-1]) ** params.p * W
+    res = d_tt - d_xx - np.abs(field.levels[1:-1, 1:-1]) ** params.p * W
     return float(np.abs(res).max())
 
 

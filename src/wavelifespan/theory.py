@@ -174,8 +174,24 @@ def blowup_sequence(
 
 
 def _check_in_D(x: float, t: float, R: float) -> None:
+    if not R >= 1:
+        raise ValueError("need R >= 1")
     if not (t - abs(x) >= R and t + abs(x) >= R):
         raise ValueError("(x, t) must lie in the interior region t-|x| >= R, t+|x| >= R")
+
+
+def _exp(v: float) -> float:
+    """exp(v), inf past the float range."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _log_corner(q: float, R: float) -> float:
+    """log of 2^{1/q} (1+R), the corner of D_{a,b} on t - x; 2^{1/q} itself
+    overflows for q below about 1/1024."""
+    return math.log(2.0) / q + math.log(1.0 + R)
 
 
 def _K(lead: float, p: float, C: float, M1: float) -> float:
@@ -185,11 +201,12 @@ def _K(lead: float, p: float, C: float, M1: float) -> float:
     return lead / (p - 1) + math.log(C) / (p**2 - 1) - S * math.log(p ** (2 * p)) + math.log(M1)
 
 
-def _con(lead: float, p: float, C: float, M: float) -> float:
-    """lead C^{1/(p+1)} p^{-2p S_p2(p) (p-1)} M^{p-1}, the form of both
-    blow-up conditions."""
+def _log_con(log_lead: float, p: float, C: float, M: float) -> float:
+    """log of lead C^{1/(p+1)} p^{-2p S_p2(p) (p-1)} M^{p-1}, the form of both
+    blow-up conditions, from the log of its positive lead."""
     S = S_p2(p)
-    return lead * C ** (1.0 / (p + 1)) * p ** (-2.0 * p * S * (p - 1)) * M ** (p - 1)
+    log_p_power = -2.0 * p * S * (p - 1) * math.log(p)
+    return log_lead + math.log(C) / (p + 1) + log_p_power + (p - 1) * math.log(M)
 
 
 def K1(x: float, t: float, params: ModelParams, M1: float) -> float:
@@ -203,24 +220,31 @@ def K1(x: float, t: float, params: ModelParams, M1: float) -> float:
 
 
 def K2(x: float, t: float, params: ModelParams, M1: float) -> float:
-    """Case p(1+a)+b < 0 threshold function at C2 of (p, a, b), on the restricted region D_{a,b}."""
+    """Case p(1+a)+b < 0 threshold function at C2 of (p, a, b), on the restricted region
+    D_{a,b}: 1+t-x > 2^{1/q} (1+R), which no float reaches when that corner overflows."""
     p, a, b, R = params.p, params.a, params.b, params.R
     q = _case2_q(p, a, b, "K2")
     _check_in_D(x, t, R)
-    if not 1.0 + t - x > 2.0 ** (1.0 / q) * (1.0 + R):
+    log_T = math.log(1.0 + t - x)
+    if not log_T > _log_corner(q, R):
         raise ValueError("(x, t) outside D_{a,b}")
-    return _K(q * math.log(1.0 + t - x), p, C2_constant(p, a, b), M1)
+    return _K(q * log_T, p, C2_constant(p, a, b), M1)
 
 
 def con1_lhs(t0: float, p: float, M1: float, C1: float) -> float:
-    """Left-hand side of the Case 1 blow-up condition at (t0/2, t0)."""
-    return _con(0.5 * math.log(t0), p, C1, M1)
+    """Left-hand side of the Case 1 blow-up condition at (t0/2, t0); +-inf past
+    the float range."""
+    lead = 0.5 * math.log(t0)
+    if lead == 0:
+        return 0.0
+    return math.copysign(_exp(_log_con(math.log(abs(lead)), p, C1, M1)), lead)
 
 
 def con2_lhs(t0: float, p: float, a: float, b: float, M1: float, C2: float) -> float:
-    """Left-hand side of the Case 2 blow-up condition at (t0/2, t0)."""
+    """Left-hand side of the Case 2 blow-up condition at (t0/2, t0), with lead
+    (t0/2)^q; inf past the float range."""
     q = _case2_q(p, a, b, "con2")
-    return _con(2.0 ** (-q) * t0**q, p, C2, M1)
+    return _exp(_log_con(q * (math.log(t0) - math.log(2.0)), p, C2, M1))
 
 
 def k1_minorant(t0: float, p: float, M1: float, C1: float) -> float:
@@ -231,26 +255,32 @@ def k1_minorant(t0: float, p: float, M1: float, C1: float) -> float:
 
 def k2_minorant(t0: float, p: float, a: float, b: float, M1: float, C2: float) -> float:
     q = _case2_q(p, a, b, "k2_minorant")
-    return _K(math.log(2.0 ** (-q) * t0**q), p, C2, M1)
+    return _K(q * (math.log(t0) - math.log(2.0)), p, C2, M1)
 
 
 def epsilon_thresholds(params: ModelParams, Cg: float) -> tuple[float, Optional[float]]:
     """Smallness thresholds eps_3 (Case 1) and eps_4 (Case 2) in closed form at C1 of (p, a, b).
 
-    eps_4 is None when p(1+a)+b >= 0 (Case 2 does not apply).
+    eps_3 = (2 B (1+R)^2)^{-1/(p(p-1))} and eps_4 = (B (2^{1/q} (1+R) - 1/2))^{-q/(p(p-1))},
+    with B the factor of both blow-up conditions at M = Cg, are taken through
+    logarithms: each is inf past the float range, and eps_4 tends to 2^{-1/(p(p-1))}
+    as q -> 0+.  eps_4 is None when p(1+a)+b >= 0 (Case 2 does not apply).
     """
     p, a, b, R = params.p, params.a, params.b, params.R
     if Cg <= 0:
         raise ValueError("Cg must be positive")
-    B = _con(1.0, p, C1_constant(p, a, b), Cg)
-    eps3 = (2.0 * B * (1.0 + R) ** 2) ** (-1.0 / (p * (p - 1)))
+    if not R >= 1:
+        raise ValueError("need R >= 1")
+    log_B = _log_con(0.0, p, C1_constant(p, a, b), Cg)
+    r = p * (p - 1)
+    eps3 = _exp(-(math.log(2.0) + log_B + 2.0 * math.log(1.0 + R)) / r)
     q = -(p * (1 + a) + b)
     eps4 = None
     if q > 0:
-        radicand = B * (2.0 ** (1.0 / q) * (1.0 + R) - 0.5)
-        if radicand <= 0:
-            raise ValueError("non-positive radicand for eps_4")
-        eps4 = radicand ** (-q / (p * (p - 1)))
+        # q log of the radicand, with q log 2^{1/q} = log 2 taken out; R >= 1 keeps
+        # the radicand above B (2 (1+R) - 1/2) > 0
+        tail = math.log(1.0 + R) + math.log1p(-0.5 * math.exp(-_log_corner(q, R)))
+        eps4 = _exp(-(math.log(2.0) + q * (log_B + tail)) / r)
     return eps3, eps4
 
 

@@ -789,15 +789,18 @@ class TestCli:
         assert run_cli([*argv, "--R", "2"]) == 1
         assert "unrecognized arguments: --R 2" in capsys.readouterr().err
 
-    def test_verify_apriori_out_holds_the_ratio_csv(self, tmp_path):
+    def test_verify_apriori_out_holds_the_ratio_csv(self, tmp_path, capsys):
         out = tmp_path / "apriori.csv"
-        argv = ["verify-apriori", "--p", "2.5", "--a", "-0.5", "--b", "-1", "--eps", "0.02", "--R", "1.5",
-                "--h", "0.1", "--T", "10", "5", "--field", "picard_U2", "--amplitude-g", "2", "--out", str(out)]
+        argv = ["verify-apriori", "--p", "2.5", "--a", "-0.5", "--b", "-1", "--eps", "0.04", "--R", "1.5",
+                "--h", "0.1", "--T", "10", "5", "--field", "picard_U2", "--out", str(out)]
         assert run_cli(argv) == 0
+        # the ratios depend on eps * amplitude_g alone, so --eps carries the amplitude
         params = ModelParams(2.5, -0.5, -1.0, 0.02, 1.5)
         rows = verify_apriori(params, InitialData(Family.bump, 0.0, 2.0, 1.5), 0.1, [5.0, 10.0], "picard_U2")
         assert out.read_text() == apriori_csv(rows)
         assert len(rows) == 2
+        assert run_cli([*argv, "--amplitude-g", "2"]) == 1
+        assert "unrecognized arguments: --amplitude-g 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("t_lo", ["1", "0.5"])
     def test_exponential_sweep_to_T_at_most_one_exits_1_before_marching(self, t_lo, capsys, monkeypatch):

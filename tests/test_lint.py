@@ -28,6 +28,10 @@ tests call belongs under tests/.
 Every flag that a CLI subcommand of harness._build_parser accepts is read
 as args.<dest> in that command's `if args.command == ...` branch of
 run_cli, so no command takes an option it ignores.
+
+A function or method with a GridSpec-annotated parameter takes no parameter
+named T, t_max, n_t, n_x, n_last or h: the grid fixes its step, horizon and
+shape, so a pass reads them from it.
 """
 
 import argparse
@@ -224,6 +228,25 @@ def checked_code_imports(source: str) -> list:
     return sorted(lines)
 
 
+GRID_FIXED = {"T", "t_max", "n_t", "n_x", "n_last", "h"}
+
+
+def grid_fixed_params(source: str) -> list:
+    """'line N: name(param)' for each parameter named in GRID_FIXED of a
+    function or method that also takes a GridSpec-annotated parameter."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a]
+        if any(a.annotation and "GridSpec" in ast.unparse(a.annotation) for a in params):
+            fixed = [a.arg for a in params if a.arg in GRID_FIXED]
+            out += [f"line {node.lineno}: {node.name}({name})" for name in fixed]
+    return out
+
+
 def unread_flags(parser: argparse.ArgumentParser, source: str) -> list:
     """'command --flag' for each flag that the command's `if args.command == ...`
     branch of source never reads as args.<dest>."""
@@ -296,6 +319,11 @@ def test_every_cli_flag_is_read_by_its_command():
     assert unread_flags(wavelifespan.harness._build_parser(), harness.read_text()) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_pass_takes_what_its_grid_fixes(path):
+    assert grid_fixed_params(path.read_text()) == []
+
+
 def test_oracle_imports_nothing_it_checks():
     oracle = next(m for m in MODULES if m.name == "oracle.py")
     assert checked_code_imports(oracle.read_text()) == []
@@ -350,6 +378,19 @@ def test_checks_flag_what_they_should():
     ]
     assert lattice_rounding_calls(source) == [25, 26]
     assert function_form_reductions(source) == [27]
+    grids = (
+        "def horizon(params, grid: GridSpec, T: float): pass\n"
+        "def shaped(grid: Optional[GridSpec], *, n_x, j_max): pass\n"
+        "class Acc:\n"
+        "    def __init__(self, grid: 'GridSpec', h): pass\n"
+        "def gridless(grid, h, n_t): pass\n"
+        "def stepped(grid: GridSpec, n: int, t): pass\n"
+    )
+    assert grid_fixed_params(grids) == [
+        "line 1: horizon(T)",
+        "line 2: shaped(n_x)",
+        "line 4: __init__(h)",
+    ]
     core = next(m for m in MODULES if m.name == "core.py")
     assert align_tol_reads(core.read_text()) != []
     parser = argparse.ArgumentParser()

@@ -37,6 +37,9 @@ from wavelifespan.theory import (
 )
 
 
+WIDE = st.floats(allow_nan=False, allow_infinity=False)
+
+
 class TestClassification:
     @pytest.mark.parametrize(
         "p, a, b, kind, exponent",
@@ -153,11 +156,17 @@ class TestAprioriFunctions:
         assert D_a(10.0, 1.0, 1.0) == 1.0
         assert D_a(10.0, 0.0, 1.0) == pytest.approx(math.log(13.0), rel=1e-13)
         assert D_a(10.0, -0.5, 1.0) == pytest.approx(math.sqrt(12.0), rel=1e-13)
+        for T, R in ((-1.0, 1.0), (1.0, 0.5)):
+            with pytest.raises(ValueError, match="need T >= 0, R >= 1"):
+                D_a(T, -0.5, R)
 
 
 class TestSeries:
     def test_S_p2_closed_form_at_two(self):
         assert abs(S_p2(2.0) - 4.0 / 9.0) < 1e-12
+        for p in (1.0, 0.5):
+            with pytest.raises(ValueError, match="p must exceed 1"):
+                S_p2(p)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
     def test_S_p2_against_partial_sums(self, p):
@@ -278,28 +287,95 @@ class TestThresholdAlgebra:
         params = ModelParams(2.0, 0.5, -3.0, 0.1, 1.0)
         with pytest.raises(ValueError):
             K1(5.0, 1.0, params, 0.1)  # outside t - |x| >= R
+        with pytest.raises(ValueError, match="for the double logarithm"):
+            K1(5.0, 6.0, params, 0.1)  # in D, but 1+t-x = 1+R
         params2 = ModelParams(2.0, 0.0, 0.0, 0.1, 1.0)
         with pytest.raises(ValueError):
             K2(0.0, 10.0, params2, 0.1)  # q <= 0
+        with pytest.raises(ValueError, match="outside D_{a,b}"):
+            K2(0.0, 1.5, ModelParams(2.0, -0.5, -3.0, 0.1, 1.0), 0.1)  # 2.5 < 2^(1/2) * 2
+        with pytest.raises(ValueError, match="outside D_{a,b}"):
+            K2(5.0, 20.0, ModelParams(2.0, -0.5, -1.0005, 0.1, 1.0), 0.01)  # 2^(1/q) overflows
+        for K in (K1, K2):
+            with pytest.raises(ValueError, match="need R >= 1"):
+                K(0.0, 10.0, ModelParams(2.0, -0.5, -3.0, 0.1, 0.5), 0.1)
 
-    def test_epsilon_thresholds_back_substitution(self):
-        params = ModelParams(2.0, -0.5, -3.0, 0.1, 1.0)
+    @pytest.mark.parametrize(
+        "params, Cg",
+        [
+            (ModelParams(2.0, -0.5, -3.0, 0.1, 1.0), 0.9),
+            (ModelParams(3.0, -0.5, -3.0, 0.1, 1.0), 1e-300),  # B underflows to 0
+        ],
+    )
+    def test_epsilon_thresholds_back_substitution(self, params, Cg):
+        # 2 B (1+R)^2 eps3^(p(p-1)) = 1 and B (2^(1/q) (1+R) - 1/2) eps4^(p(p-1)/q) = 1, in logs
         p, R = params.p, params.R
-        Cg, C1 = 0.9, C1_constant(p, params.a, params.b)
+        C1 = C1_constant(p, params.a, params.b)
         eps3, eps4 = epsilon_thresholds(params, Cg)
-        S = S_p2(p)
-        B = C1 ** (1.0 / (p + 1)) * p ** (-2.0 * p * S * (p - 1)) * Cg ** (p - 1)
-        assert 2.0 * B * (1.0 + R) ** 2 * eps3 ** (p * (p - 1)) == pytest.approx(1.0, rel=1e-12)
+        log_p_power = -2.0 * p * S_p2(p) * (p - 1) * math.log(p)
+        log_B = math.log(C1) / (p + 1) + log_p_power + (p - 1) * math.log(Cg)
+        log_eps3 = -(math.log(2.0) + log_B + 2.0 * math.log(1.0 + R)) / (p * (p - 1))
+        assert math.log(eps3) == pytest.approx(log_eps3, rel=1e-12)
         q = -(p * (1 + params.a) + params.b)
-        assert B * (2.0 ** (1.0 / q) * (1.0 + R) - 0.5) * eps4 ** (
-            p * (p - 1) / q
-        ) == pytest.approx(1.0, rel=1e-12)
+        log_radicand = log_B + math.log(2.0 ** (1.0 / q) * (1.0 + R) - 0.5)
+        assert math.log(eps4) == pytest.approx(-q * log_radicand / (p * (p - 1)), rel=1e-12)
 
     def test_eps4_absent_without_case2(self):
         params = ModelParams(2.0, 0.0, 0.0, 0.1, 1.0)
         eps3, eps4 = epsilon_thresholds(params, 1.0)
         assert eps3 > 0
         assert eps4 is None
+        with pytest.raises(ValueError, match="Cg must be positive"):
+            epsilon_thresholds(params, 0.0)
+        with pytest.raises(ValueError, match="need R >= 1"):
+            epsilon_thresholds(ModelParams(2.0, 0.0, 0.0, 0.1, 0.5), 1.0)
+
+    @pytest.mark.parametrize(
+        "a, b, rel",
+        [(-0.5, -1.0005, 1e-2), (-0.5, -1.0 - 1e-12, 1e-10), (-1.0, -5e-324, 1e-15)],
+    )
+    def test_eps4_tends_to_its_q_to_0_limit(self, a, b, rel):
+        # at q = 5e-4 and below, 2^(1/q) overflows
+        p = 2.0
+        assert 0 < -(p * (1 + a) + b) < 1e-3
+        eps3, eps4 = epsilon_thresholds(ModelParams(p, a, b, 0.1, 1.0), 1.0)
+        assert math.isfinite(eps3)
+        assert eps4 == pytest.approx(2.0 ** (-1.0 / (p * (p - 1))), rel=rel)
+
+    def test_large_q_lead_saturates_con2_and_stays_finite_in_k2(self):
+        p, a, b, M1, C2, t0 = 2.0, -0.5, -1000.0, 0.01, 1e-3, 1e4
+        assert con2_lhs(t0, p, a, b, M1, C2) == math.inf  # (t0/2)^999 overflows
+        q = -(p * (1 + a) + b)
+        expected = q * math.log(t0 / 2) + math.log(C2) / 3 - S_p2(p) * math.log(16.0) + math.log(M1)
+        assert k2_minorant(t0, p, a, b, M1, C2) == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.floats(min_value=1.0, max_value=10.0, exclude_min=True),
+        a=st.floats(min_value=-1e3, max_value=1e3),
+        b=st.floats(min_value=-1e3, max_value=1e3),
+        R=WIDE, M1=WIDE, C=WIDE, Cg=WIDE, t0=WIDE,
+    )
+    def test_every_threshold_function_returns_a_float_or_raises_value_error(
+        self, p, a, b, R, M1, C, Cg, t0
+    ):
+        params = ModelParams(p, a, b, 0.1, R)
+        calls = [
+            lambda: K1(t0 / 2, t0, params, M1),
+            lambda: K2(t0 / 2, t0, params, M1),
+            lambda: con1_lhs(t0, p, M1, C),
+            lambda: con2_lhs(t0, p, a, b, M1, C),
+            lambda: k1_minorant(t0, p, M1, C),
+            lambda: k2_minorant(t0, p, a, b, M1, C),
+            lambda: epsilon_thresholds(params, Cg),
+        ]
+        for call in calls:
+            try:
+                out = call()
+            except ValueError:
+                continue
+            for v in out if isinstance(out, tuple) else (out,):
+                assert v is None or isinstance(v, float) and not math.isnan(v)
 
 
 class TestTables:
@@ -311,6 +387,8 @@ class TestTables:
 
     def test_u_nonzero_entries(self):
         assert u_nonzero_table(2, 0, 0)[0] == "exp(C eps^-(p-1)/2)"
+        with pytest.raises(ValueError, match="p must exceed 1"):
+            u_nonzero_table(1, 0, 0)
         assert u_nonzero_table(2, -0.5, 0)[0].startswith("phi^-1")
         assert u_nonzero_table(2, -0.5, 1.0)[1] == pytest.approx(2.0)
         assert u_nonzero_table(2, 1.0, 1.0) == (INFTY, None)
@@ -318,6 +396,9 @@ class TestTables:
 
     def test_u_zero_entries(self):
         assert u_zero_table(2, 0, 0)[0] == "exp(C eps^-p(p-1)/(p+1))"
+        assert u_zero_table(2, 0.5, -0.5) == ("exp(C eps^-p(p-1))", None)
+        with pytest.raises(ValueError, match="p must exceed 1"):
+            u_zero_table(1, 0, 0)
         assert u_zero_table(2, -0.5, 0)[0].startswith("psi1^-1")
         assert u_zero_table(2, 0, -1.0)[0].startswith("psi2^-1")
         assert u_zero_table(2, -0.5, -0.5)[1] == pytest.approx(2.0 / 1.5)
