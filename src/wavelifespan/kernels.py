@@ -97,22 +97,27 @@ class CharAccumulator:
         minus = sliding_window_view(self.minus, m)[lo - n1 + k + 1 : lo - n0 + k + 1]
         return plus + minus[::-1]
 
-    def explicit_step(self, n: int, lo: int, hi: int, G: np.ndarray) -> np.ndarray:
-        """Explicit trapezoid value at nodes lo..hi of level n, then add G there.
+    def explicit_block(self, n0: int, lo: int, G: np.ndarray) -> np.ndarray:
+        """Explicit trapezoid values at nodes lo.. of levels n0.., then add G there.
 
-        G is the weighted source on level n.  Level 0 has no history, so its
-        value is the seed and G enters the sums at the trapezoid end weight
-        1/2.
+        Row j of G is the weighted source on level n0 + j, and row j of the
+        result that level's value.  Level 0 has no history, so its value is
+        the seed and G enters the sums at the trapezoid end weight 1/2.  Each
+        row is written in place, with no per-level temporary.
         """
-        plus, minus = self.diagonals(n, lo, hi)
-        out = plus + minus
-        if n > 0:
-            G = self.c * G
-            out += G
-        else:
-            G = 0.5 * self.c * G
-        plus += G
-        minus += G
+        k, m = self.off, G.shape[1]
+        cG = self.c * G
+        if n0 == 0:
+            cG[0] = 0.5 * self.c * G[0]
+        out = np.empty_like(G)
+        for n, F, row in zip(range(n0, n0 + len(G)), cG, out):
+            plus = self.plus[lo + n : lo + n + m]
+            minus = self.minus[lo - n + k : lo - n + k + m]
+            np.add(plus, minus, out=row)
+            if n > 0:
+                row += F
+            plus += F
+            minus += F
         return out
 
 

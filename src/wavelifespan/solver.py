@@ -174,7 +174,7 @@ def march_ladder(
                 acc, est = rung.acc, rung.est
                 plus, minus = acc.diagonals(n, lo, hi)
                 if n == 0:  # the seed: level 0 has no history, so no endpoint to solve
-                    z = acc.explicit_step(0, lo, hi, np.abs(plus + minus) ** p * W)
+                    z = acc.explicit_block(0, lo, (np.abs(plus + minus) ** p * W)[None])[0]
                 else:
                     z, est.cause = _solve_level(
                         plus + minus, gamma, cap, p, INNER_TOL, INNER_MAX, rung.blow_threshold
@@ -241,20 +241,9 @@ def apply_duhamel_field(source: np.ndarray, grid: GridSpec, params: ModelParams)
     out = np.zeros_like(source)
     for n in range(len(source)):
         lo, hi = grid.active_slice(n, params.R)
-        G = source[n, lo : hi + 1] * nonlinear_weight(x[lo : hi + 1], n * grid.h, params)
-        out[n, lo : hi + 1] = acc.explicit_step(n, lo, hi, G)
+        G = source[n : n + 1, lo : hi + 1] * nonlinear_weight(x[lo : hi + 1], n * grid.h, params)
+        out[n : n + 1, lo : hi + 1] = acc.explicit_block(n, lo, G)
     return out
-
-
-def _explicit_block(acc: CharAccumulator, n0: int, lo: int, G: np.ndarray) -> np.ndarray:
-    """Explicit L' on levels n0.. of a block, each row G[j] stepped over nodes lo...
-
-    A row's nodes outside its own level's cone add its source there, +0.0,
-    and read diagonals fed only by such nodes of earlier levels, +0.0 too:
-    they come out +0.0, as a slice per level would leave them.
-    """
-    hi = lo + G.shape[1] - 1
-    return np.stack([acc.explicit_step(n0 + j, lo, hi, row) for j, row in enumerate(G)])
 
 
 def _level_blocks(params: ModelParams, data: InitialData, grid: GridSpec):
@@ -306,7 +295,7 @@ def apriori_profiles(
             source = np.zeros_like(B)
             source[:, cols] = absB**params.p * W_cols
             del B  # only its columns are read from here on
-            L = _explicit_block(acc, n0, lo, source)
+            L = acc.explicit_block(n0, lo, source)
             if test_field == "free":
                 out[0, rows] = _masked_weighted_sup(absB, w[:, cols])
                 out[1:, rows] = _masked_weighted_sup(L, w)
@@ -315,10 +304,10 @@ def apriori_profiles(
             out[0, rows] = _masked_weighted_sup(L, w)
             W = nonlinear_weight(xa, t, params)  # L is dense: so is the source of L'U
             out[1, rows] = _masked_weighted_sup(
-                _explicit_block(acc_LU, n0, lo, np.abs(L) ** params.p * W), w
+                acc_LU.explicit_block(n0, lo, np.abs(L) ** params.p * W), w
             )
             source[:, cols] = absB ** (params.p - 1) * np.abs(L[:, cols]) * W_cols  # 0 off cols
-            out[2, rows] = _masked_weighted_sup(_explicit_block(acc_LB, n0, lo, source), w)
+            out[2, rows] = _masked_weighted_sup(acc_LB.explicit_block(n0, lo, source), w)
     return out
 
 
@@ -370,7 +359,7 @@ def picard_iterate(
                 if not np.isfinite(source).all():
                     bad = min(bad, 2 * j)
                     break
-                U_next = _explicit_block(acc, n0, lo, source * W)
+                U_next = acc.explicit_block(n0, lo, source * W)
                 if not np.isfinite(U_next).all():
                     bad = min(bad, 2 * j + 1)
                     break

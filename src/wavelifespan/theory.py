@@ -107,10 +107,11 @@ def D_a(T: float, a: float, R: float) -> float:
 
 
 def S_p2(p: float) -> float:
-    """sum_{j>=1} j p^{-2j} in closed form."""
+    """sum_{j>=1} j p^{-2j} in closed form, with p^2 - 1 as (p-1)(p+1): p - 1
+    is exact for p in (1, 2], so nothing cancels as p -> 1+."""
     if not p > 1:
         raise ValueError("p must exceed 1")
-    return p**2 / (p**2 - 1) ** 2
+    return p**2 / ((p - 1) * (p + 1)) ** 2
 
 
 def a_n_closed_form(p: int, n: int) -> Fraction:
@@ -123,8 +124,15 @@ def C0_constant(a: float, b: float) -> float:
     return 3.0 ** (-abs(a)) * 2.0 ** (-abs(b)) / (8.0 * math.sqrt(2.0))
 
 
+def _log_C1(p: float, a: float, b: float) -> float:
+    """log C1 = (p+1) log C0 + p log(p-1), finite where C1 itself under- or overflows."""
+    log_C0 = -abs(a) * math.log(3.0) - abs(b) * math.log(2.0) - math.log(8.0 * math.sqrt(2.0))
+    return (p + 1) * log_C0 + p * math.log(p - 1)
+
+
 def C1_constant(p: float, a: float, b: float) -> float:
-    return C0_constant(a, b) ** (p + 1) * (p - 1) ** p
+    """C0^{p+1} (p-1)^p; inf past the float range."""
+    return _exp(_log_C1(p, a, b))
 
 
 def _case2_q(p: float, a: float, b: float, who: str) -> float:
@@ -135,9 +143,15 @@ def _case2_q(p: float, a: float, b: float, who: str) -> float:
     return q
 
 
-def C2_constant(p: float, a: float, b: float) -> float:
+def _log_C2(p: float, a: float, b: float) -> float:
+    """log C2 = log C1 - (p+1) log(2q)."""
     q = _case2_q(p, a, b, "C2")
-    return C1_constant(p, a, b) / (2 ** (p + 1) * q ** (p + 1))
+    return _log_C1(p, a, b) - (p + 1) * (math.log(2.0) + math.log(q))
+
+
+def C2_constant(p: float, a: float, b: float) -> float:
+    """C1 / (2q)^{p+1}; inf past the float range."""
+    return _exp(_log_C2(p, a, b))
 
 
 @dataclass(frozen=True)
@@ -160,7 +174,7 @@ def blowup_sequence(
         raise ValueError(f"p, M1, a and b must be finite, got p={p}, M1={M1}, a={a}, b={b}")
     if not (p > 1 and n_max >= 1 and M1 > 0):
         raise ValueError("need p > 1, n_max >= 1, M1 > 0")
-    C1 = C1_constant(float(p), a, b)
+    log_C1 = _log_C1(float(p), a, b)
     pf = Fraction(p)
     p2 = float(p) ** 2
     states = []
@@ -169,7 +183,7 @@ def blowup_sequence(
     for n in range(1, n_max + 1):
         states.append(BlowupSequenceState(n=n, a_n=a_n, log_M_n=log_M))
         a_n = pf**2 * a_n + pf + 1
-        log_M = math.log(C1) - 2.0 * float(p) * n * math.log(float(p)) + p2 * log_M
+        log_M = log_C1 - 2.0 * float(p) * n * math.log(float(p)) + p2 * log_M
     return states
 
 
@@ -194,19 +208,19 @@ def _log_corner(q: float, R: float) -> float:
     return math.log(2.0) / q + math.log(1.0 + R)
 
 
-def _K(lead: float, p: float, C: float, M1: float) -> float:
-    """lead/(p-1) + log C/(p^2-1) - S_p2(p) log p^{2p} + log M1, the form of
-    both threshold functions and their minorants."""
+def _K(lead: float, p: float, log_C: float, M1: float) -> float:
+    """lead/(p-1) + log C/(p^2-1) - S_p2(p) 2p log p + log M1, the form of
+    both threshold functions and their minorants, from log C."""
     S = S_p2(p)  # first: it rejects p <= 1 before lead / (p - 1) divides by 0
-    return lead / (p - 1) + math.log(C) / (p**2 - 1) - S * math.log(p ** (2 * p)) + math.log(M1)
+    return lead / (p - 1) + log_C / ((p - 1) * (p + 1)) - S * 2 * p * math.log(p) + math.log(M1)
 
 
-def _log_con(log_lead: float, p: float, C: float, M: float) -> float:
+def _log_con(log_lead: float, p: float, log_C: float, M: float) -> float:
     """log of lead C^{1/(p+1)} p^{-2p S_p2(p) (p-1)} M^{p-1}, the form of both
-    blow-up conditions, from the log of its positive lead."""
+    blow-up conditions, from the logs of its positive lead and of C."""
     S = S_p2(p)
     log_p_power = -2.0 * p * S * (p - 1) * math.log(p)
-    return log_lead + math.log(C) / (p + 1) + log_p_power + (p - 1) * math.log(M)
+    return log_lead + log_C / (p + 1) + log_p_power + (p - 1) * math.log(M)
 
 
 def K1(x: float, t: float, params: ModelParams, M1: float) -> float:
@@ -215,8 +229,7 @@ def K1(x: float, t: float, params: ModelParams, M1: float) -> float:
     _check_in_D(x, t, R)
     if not 1.0 + t - x > 1.0 + R:
         raise ValueError("need 1+t-x > 1+R for the double logarithm")
-    C1 = C1_constant(p, params.a, params.b)
-    return _K(math.log(math.log((1.0 + t - x) / (1.0 + R))), p, C1, M1)
+    return _K(math.log(math.log((1.0 + t - x) / (1.0 + R))), p, _log_C1(p, params.a, params.b), M1)
 
 
 def K2(x: float, t: float, params: ModelParams, M1: float) -> float:
@@ -228,7 +241,7 @@ def K2(x: float, t: float, params: ModelParams, M1: float) -> float:
     log_T = math.log(1.0 + t - x)
     if not log_T > _log_corner(q, R):
         raise ValueError("(x, t) outside D_{a,b}")
-    return _K(q * log_T, p, C2_constant(p, a, b), M1)
+    return _K(q * log_T, p, _log_C2(p, a, b), M1)
 
 
 def con1_lhs(t0: float, p: float, M1: float, C1: float) -> float:
@@ -237,25 +250,25 @@ def con1_lhs(t0: float, p: float, M1: float, C1: float) -> float:
     lead = 0.5 * math.log(t0)
     if lead == 0:
         return 0.0
-    return math.copysign(_exp(_log_con(math.log(abs(lead)), p, C1, M1)), lead)
+    return math.copysign(_exp(_log_con(math.log(abs(lead)), p, math.log(C1), M1)), lead)
 
 
 def con2_lhs(t0: float, p: float, a: float, b: float, M1: float, C2: float) -> float:
     """Left-hand side of the Case 2 blow-up condition at (t0/2, t0), with lead
     (t0/2)^q; inf past the float range."""
     q = _case2_q(p, a, b, "con2")
-    return _exp(_log_con(q * (math.log(t0) - math.log(2.0)), p, C2, M1))
+    return _exp(_log_con(q * (math.log(t0) - math.log(2.0)), p, math.log(C2), M1))
 
 
 def k1_minorant(t0: float, p: float, M1: float, C1: float) -> float:
     """K1 at (t0/2, t0) with the log factor replaced by its 2^-1 log(t0)
     minorant (valid for t0 > 4(1+R)^2); positive iff con1 holds."""
-    return _K(math.log(0.5 * math.log(t0)), p, C1, M1)
+    return _K(math.log(0.5 * math.log(t0)), p, math.log(C1), M1)
 
 
 def k2_minorant(t0: float, p: float, a: float, b: float, M1: float, C2: float) -> float:
     q = _case2_q(p, a, b, "k2_minorant")
-    return _K(q * (math.log(t0) - math.log(2.0)), p, C2, M1)
+    return _K(q * (math.log(t0) - math.log(2.0)), p, math.log(C2), M1)
 
 
 def epsilon_thresholds(params: ModelParams, Cg: float) -> tuple[float, Optional[float]]:
@@ -271,7 +284,7 @@ def epsilon_thresholds(params: ModelParams, Cg: float) -> tuple[float, Optional[
         raise ValueError("Cg must be positive")
     if not R >= 1:
         raise ValueError("need R >= 1")
-    log_B = _log_con(0.0, p, C1_constant(p, a, b), Cg)
+    log_B = _log_con(0.0, p, _log_C1(p, a, b), Cg)
     r = p * (p - 1)
     eps3 = _exp(-(math.log(2.0) + log_B + 2.0 * math.log(1.0 + R)) / r)
     q = -(p * (1 + a) + b)

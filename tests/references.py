@@ -1,5 +1,6 @@
 """Independent reference evaluations that the tests hold the package to."""
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,33 @@ def weight_w(x, t, params: ModelParams):
         outer = (t + x + R) ** a
     out = np.where(chi, inner, outer)
     return float(out) if out.ndim == 0 else out
+
+
+class TrapezoidSums:
+    """Unseeded running trapezoid sums along both characteristic families,
+    stepped one node at a time in Python floats.
+
+    plus[d] sums the weighted source c G of the nodes with i + n = d, and
+    minus[d] that of the nodes with i - n = d; a diagonal not yet reached
+    holds +0.0.
+    """
+
+    def __init__(self, h: float):
+        self.c = 0.5 * h
+        self.plus, self.minus = defaultdict(float), defaultdict(float)
+
+    def step(self, n: int, lo: int, row) -> list:
+        """Values at nodes lo.. of level n, then add the source row there;
+        level 0 adds it at the trapezoid end weight 1/2."""
+        weight = self.c if n > 0 else 0.5 * self.c
+        values = []
+        for i, g in enumerate(row, start=lo):
+            F = weight * float(g)
+            value = self.plus[i + n] + self.minus[i - n]
+            values.append(value + F if n > 0 else value)
+            self.plus[i + n] += F
+            self.minus[i - n] += F
+        return values
 
 
 @dataclass(frozen=True)

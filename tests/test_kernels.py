@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from wavelifespan.core import Family, GridSpec, InitialData, ModelParams
 from wavelifespan.kernels import (
+    CharAccumulator,
     bracket,
     duhamel_Lprime,
     field_sampler,
@@ -14,7 +15,7 @@ from wavelifespan.kernels import (
     weight_w,
 )
 
-from references import free_solution
+from references import TrapezoidSums, free_solution
 from references import nonlinear_weight as dense_nonlinear_weight
 from references import weight_w as dense_weight_w
 
@@ -277,6 +278,41 @@ class TestDuhamelLprime:
                 duhamel_Lprime(_const(1.0), 0.0, t, params, 0.05)
         with pytest.raises(ValueError, match=r"t=-0\.5 must be >= 0"):
             duhamel_Lprime(_const(1.0), 0.0, -0.5, params, 0.05)
+
+
+class TestExplicitBlock:
+    """CharAccumulator.explicit_block against per-node running sums."""
+
+    grid = GridSpec(h=0.1, t_max=2.0, pad=0.5)  # n_x = 51, n_t = 20
+
+    @pytest.mark.parametrize("size", [1, 8, 21])  # 8 leaves a partial last block of 5
+    def test_rows_and_sums_match_per_node_reference(self, size, rng):
+        grid = self.grid
+        acc, ref = CharAccumulator(grid), TrapezoidSums(grid.h)
+        for n0 in range(0, grid.n_t + 1, size):
+            n1 = min(n0 + size, grid.n_t + 1)
+            lo, hi = grid.active_slice(n1 - 1, 0.5)
+            G = rng.uniform(-1.0, 2.0, (n1 - n0, hi - lo + 1))
+            G[rng.random(len(G)) < 0.3] = 0.0  # all-zero rows
+            if n0 == 2 * size:
+                G[:] = 0.0  # an all-zero block
+            rows = [ref.step(n, lo, row) for n, row in zip(range(n0, n1), G)]
+            assert np.array_equal(acc.explicit_block(n0, lo, G), np.array(rows))
+        off = grid.n_t
+        diagonals = range(grid.n_x + off)
+        assert np.array_equal(acc.plus, [ref.plus[d] for d in diagonals])
+        assert np.array_equal(acc.minus, [ref.minus[d - off] for d in diagonals])
+        for sums in (acc.plus, acc.minus):
+            assert not np.any(np.signbit(sums[sums == 0.0]))
+
+    def test_block_from_a_later_level_leaves_the_source_unchanged(self, rng):
+        grid = self.grid
+        acc, ref = CharAccumulator(grid), TrapezoidSums(grid.h)
+        G = rng.uniform(0.0, 1.0, (4, 30))
+        kept = G.copy()
+        rows = [ref.step(n, 7, row) for n, row in zip(range(5, 9), G)]
+        assert np.array_equal(acc.explicit_block(5, 7, G), np.array(rows))
+        assert np.array_equal(G, kept)
 
 
 class TestFieldSampler:

@@ -32,6 +32,12 @@ run_cli, so no command takes an option it ignores.
 A function or method with a GridSpec-annotated parameter takes no parameter
 named T, t_max, n_t, n_x, n_last or h: the grid fixes its step, horizon and
 shape, so a pass reads them from it.
+
+No module but kernels.py reads a .plus, .minus, .off or .c attribute, the
+state of a CharAccumulator: every pass steps its sums through the
+accumulator's own methods, so the stepping code lives in kernels alone.
+The CLI's flags, read off its args namespace (args.c of `bounds`), are not
+that state.
 """
 
 import argparse
@@ -247,6 +253,22 @@ def grid_fixed_params(source: str) -> list:
     return out
 
 
+ACCUMULATOR_STATE = {"plus", "minus", "off", "c"}
+
+
+def accumulator_state_reads(source: str) -> list:
+    """Lines that read a .plus, .minus, .off or .c attribute of anything but args."""
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and node.attr in ACCUMULATOR_STATE
+            and not (isinstance(node.value, ast.Name) and node.value.id == "args")
+        }
+    )
+
+
 def unread_flags(parser: argparse.ArgumentParser, source: str) -> list:
     """'command --flag' for each flag that the command's `if args.command == ...`
     branch of source never reads as args.<dest>."""
@@ -324,6 +346,11 @@ def test_no_pass_takes_what_its_grid_fixes(path):
     assert grid_fixed_params(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "kernels.py"], ids=lambda p: p.name)
+def test_only_kernels_reads_the_accumulator_state(path):
+    assert accumulator_state_reads(path.read_text()) == []
+
+
 def test_oracle_imports_nothing_it_checks():
     oracle = next(m for m in MODULES if m.name == "oracle.py")
     assert checked_code_imports(oracle.read_text()) == []
@@ -358,6 +385,9 @@ def test_checks_flag_what_they_should():
         "i = round(x / h) + np.rint(y) + math.floor(z) + numpy.ceil(w)\n"
         "j = np.round(x) + abs(x) + np.floor_divide(x, h)\n"
         "k = np.max(x) + numpy.any(y, axis=0) + x.max() + max(x, y) + np.maximum(x, y) + np.abs(x)\n"
+        "acc.plus[lo:hi] += acc.c * G\n"
+        "off, plus = acc.off, acc.minus.copy()\n"
+        "v = plus + minus + acc.plus_minus + c + args.c\n"
     )
     patched = string_constants(
         "['_level_blocks', '__doc__', 'march', 'harness', 'kernels', 'wavelifespan']"
@@ -378,6 +408,7 @@ def test_checks_flag_what_they_should():
     ]
     assert lattice_rounding_calls(source) == [25, 26]
     assert function_form_reductions(source) == [27]
+    assert accumulator_state_reads(source) == [28, 29]
     grids = (
         "def horizon(params, grid: GridSpec, T: float): pass\n"
         "def shaped(grid: Optional[GridSpec], *, n_x, j_max): pass\n"

@@ -292,7 +292,7 @@ class TestSeededAccumulator:
     def test_unseeded_level_0_returns_zeros_and_adds_half_the_weighted_source(self):
         acc = CharAccumulator(GridSpec(h=0.1, t_max=0.4, pad=0.1))  # n_x = 11, n_t = 4
         G = np.linspace(1.0, 2.0, 5)
-        assert np.array_equal(acc.explicit_step(0, 3, 7, G), np.zeros(5))
+        assert np.array_equal(acc.explicit_block(0, 3, G[None]), np.zeros((1, 5)))
         for sums in acc.diagonals(0, 3, 7):
             assert np.array_equal(sums, 0.5 * acc.c * G)
         assert np.count_nonzero(acc.plus) == np.count_nonzero(acc.minus) == 5

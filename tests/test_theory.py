@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -172,6 +173,31 @@ class TestSeries:
     def test_S_p2_against_partial_sums(self, p):
         oracle = sum(j * p ** (-2 * j) for j in range(1, 2000))
         assert S_p2(p) == pytest.approx(oracle, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1 + 1.6e-8, 1 + 3e-7, 1.001])
+    def test_S_p2_near_one_against_exact_value(self, p):
+        # p^2 - 1 in floats cancels here: 2.1e-9, 2.4e-10 and 8.2e-14 relative
+        P = Fraction(p)
+        exact = P**2 / (P**2 - 1) ** 2
+        assert abs(Fraction(S_p2(p)) - exact) <= Fraction(1, 10**15) * exact
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
+    def test_S_p2_where_p_squared_minus_1_is_exact(self, p):
+        assert S_p2(p) == p**2 / (p**2 - 1) ** 2
+
+    @pytest.mark.parametrize("p", [1 + 1.6e-8, 1 + 3e-7, 1.001])
+    def test_k1_minorant_near_one_against_exact_arithmetic(self, p):
+        # every log is the float one k1_minorant takes; the rest is exact
+        t0, M1, C1 = math.exp(4.0), 0.01, 1e-3
+        P = Fraction(p)
+        S = P**2 / (P**2 - 1) ** 2
+        exact = (
+            Fraction(math.log(0.5 * math.log(t0))) / (P - 1)
+            + Fraction(math.log(C1)) / (P**2 - 1)
+            - S * 2 * P * Fraction(math.log(p))
+            + Fraction(math.log(M1))
+        )
+        assert abs(Fraction(k1_minorant(t0, p, M1, C1)) - exact) <= Fraction(1, 10**15) * abs(exact)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_a_n_recursion_matches_closed_form(self, p):
@@ -351,7 +377,7 @@ class TestThresholdAlgebra:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        p=st.floats(min_value=1.0, max_value=10.0, exclude_min=True),
+        p=st.floats(min_value=1.0, max_value=200.0, exclude_min=True),
         a=st.floats(min_value=-1e3, max_value=1e3),
         b=st.floats(min_value=-1e3, max_value=1e3),
         R=WIDE, M1=WIDE, C=WIDE, Cg=WIDE, t0=WIDE,
@@ -376,6 +402,56 @@ class TestThresholdAlgebra:
                 continue
             for v in out if isinstance(out, tuple) else (out,):
                 assert v is None or isinstance(v, float) and not math.isnan(v)
+
+
+def _ln(x) -> Decimal:
+    return Decimal(x).ln()
+
+
+def _decimal_K(lead, p, log_C, M1) -> Decimal:
+    """lead/(p-1) + log C/(p^2-1) - S_p2(p) 2p log p + log M1, in the current context."""
+    p = Decimal(p)
+    S = p**2 / (p**2 - 1) ** 2
+    return lead / (p - 1) + log_C / (p**2 - 1) - S * 2 * p * _ln(p) + _ln(M1)
+
+
+def _decimal_log_C1(p, a, b) -> Decimal:
+    log_C0 = -abs(Decimal(a)) * _ln(3) - abs(Decimal(b)) * _ln(2) - Decimal("3.5") * _ln(2)
+    return (Decimal(p) + 1) * log_C0 + Decimal(p) * _ln(Decimal(p) - 1)
+
+
+class TestLargeP:
+    """Past p of about 82, p^{2p} leaves the float range, past 144 so does
+    (p-1)^p, and C0^{p+1} underflows at large p and |b|: every threshold
+    takes them as logarithms.  References are 40-digit decimals."""
+
+    def test_k1_minorant_where_p_to_the_2p_overflows(self):
+        with localcontext() as ctx:
+            ctx.prec = 40
+            ref = _decimal_K(_ln(_ln(100) / 2), 90, _ln(1e-3), 0.01)
+        assert k1_minorant(100.0, 90.0, 0.01, 1e-3) == pytest.approx(float(ref), rel=1e-13)
+
+    def test_epsilon_thresholds_where_p_minus_1_to_the_p_overflows(self):
+        p, R, Cg = 150, 1, 1.0
+        with localcontext() as ctx:
+            ctx.prec = 40
+            P = Decimal(p)
+            S = P**2 / (P**2 - 1) ** 2
+            log_B = _decimal_log_C1(p, 0, 0) / (P + 1) - 2 * P * S * (P - 1) * _ln(P) + (P - 1) * _ln(Cg)
+            ref = (-(_ln(2) + log_B + 2 * _ln(1 + R)) / (P * (P - 1))).exp()
+            C1 = _decimal_log_C1(p, 0, 0).exp()
+        eps3, eps4 = epsilon_thresholds(ModelParams(p, 0, 0, 0.1, R), Cg)
+        assert eps3 == pytest.approx(float(ref), rel=1e-13)
+        assert eps4 is None
+        assert C1_constant(150, 0, 0) == pytest.approx(float(C1), rel=1e-12)  # about 7.6e166
+
+    def test_K1_where_C1_underflows(self):
+        p, a, b = 90, 0.5, -135  # p(1+a)+b = 0, and C0^91 is below 1e-308
+        assert C1_constant(p, a, b) == 0.0
+        with localcontext() as ctx:
+            ctx.prec = 40
+            ref = _decimal_K(_ln(_ln(Decimal(51) / 2)), p, _decimal_log_C1(p, a, b), 0.01)
+        assert K1(50, 100, ModelParams(p, a, b, 0.1, 1), 0.01) == pytest.approx(float(ref), rel=1e-13)
 
 
 class TestTables:
