@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import GridSpec, InitialData, ModelParams, align_slack, lattice_index
 
@@ -89,13 +88,14 @@ class CharAccumulator:
     def values(self, n0: int, n1: int, lo: int, hi: int) -> np.ndarray:
         """plus + minus at nodes lo..hi of levels n0..n1-1, one level per row.
 
-        The windows of plus move one node up per level and those of minus
-        one node down.
+        Each level's diagonals are added straight into its row of one
+        (n1 - n0, hi - lo + 1) block.
         """
         k, m = self.off, hi - lo + 1
-        plus = sliding_window_view(self.plus, m)[lo + n0 : lo + n1]
-        minus = sliding_window_view(self.minus, m)[lo - n1 + k + 1 : lo - n0 + k + 1]
-        return plus + minus[::-1]
+        out = np.empty((n1 - n0, m))
+        for n, row in zip(range(n0, n1), out):
+            np.add(self.plus[lo + n : lo + n + m], self.minus[lo - n + k : lo - n + k + m], out=row)
+        return out
 
     def explicit_block(self, n0: int, lo: int, G: np.ndarray) -> np.ndarray:
         """Explicit trapezoid values at nodes lo.. of levels n0.., then add G there.
@@ -103,22 +103,25 @@ class CharAccumulator:
         Row j of G is the weighted source on level n0 + j, and row j of the
         result that level's value.  Level 0 has no history, so its value is
         the seed and G enters the sums at the trapezoid end weight 1/2.  Each
-        row is written in place, with no per-level temporary.
+        row of the result, G's scaled copy c*G, is overwritten by its level's
+        value once in the sums: one scratch row is the only other memory.
         """
         k, m = self.off, G.shape[1]
         cG = self.c * G
         if n0 == 0:
             cG[0] = 0.5 * self.c * G[0]
-        out = np.empty_like(G)
-        for n, F, row in zip(range(n0, n0 + len(G)), cG, out):
+        scratch = np.empty(m)
+        for n, F in zip(range(n0, n0 + len(G)), cG):
             plus = self.plus[lo + n : lo + n + m]
             minus = self.minus[lo - n + k : lo - n + k + m]
-            np.add(plus, minus, out=row)
-            if n > 0:
-                row += F
+            np.add(plus, minus, out=scratch)
             plus += F
             minus += F
-        return out
+            if n > 0:
+                F += scratch
+            else:
+                F[:] = scratch
+        return cG
 
 
 def weight_w(x, t, params: ModelParams):

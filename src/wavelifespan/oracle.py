@@ -10,7 +10,8 @@ The data vanish outside |x| <= R and the stencil reaches one node per
 step, so each level is updated only on the nodes it can reach.  No level
 is stored: leapfrog_solve runs the three-level step of _levels to its
 verdict, and LeapfrogResult keeps only what replays it.  Consumers replay
-the same step, so they read the values the run computed, in O(n_x) memory.
+the same step, so they read the values the run computed, in O(n_x) memory;
+each step is written in place into its reused row, through one scratch row.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ def _levels(params: ModelParams, data: InitialData, x: np.ndarray, dx: float, dt
     reach after that); new is u on the nodes the level updated.  f and g
     vanish outside |x| <= data.R, so level 1 is nonzero only on that support
     widened by one node and each later level by one node more, clamped to
-    the interior of the Dirichlet domain; u is exactly 0 elsewhere.
+    the interior of the Dirichlet domain; u is exactly 0 elsewhere.  Only
+    ut and the source are new per level: each step is summed in its row.
     """
     eps, p = params.epsilon, params.p
     lam2 = (dt / dx) ** 2
@@ -55,6 +57,7 @@ def _levels(params: ModelParams, data: InitialData, x: np.ndarray, dx: float, dt
 
     # whole rows of levels n-2, n-1 and n; each is 0 outside its reach
     older, prev, cur = np.zeros_like(x), u0, u1
+    scratch = np.empty_like(x)
     for n in count(1):
         t = n * dt
         a = max(support[0] - 1 - n, 1)  # reach of level n + 1
@@ -65,14 +68,17 @@ def _levels(params: ModelParams, data: InitialData, x: np.ndarray, dx: float, dt
         else:
             ut = (cur[a:b] - prev[a:b]) / dt
         src = np.abs(ut) ** p * nonlinear_weight(x[a:b], t, params)
-        # the reach of level n - 2 lies inside that of n + 1, so the write
-        # below replaces every nonzero node of the reused row
-        older[a:b] = (
-            2.0 * cur[a:b]
-            - prev[a:b]
-            + lam2 * (cur[a + 1 : b + 1] - 2.0 * cur[a:b] + cur[a - 1 : b - 1])
-            + dt**2 * src
-        )
+        # the reach of level n - 2 lies inside that of n + 1, so the step, summed
+        # in its terms' order, replaces every nonzero node of the reused row
+        row, tmp = older[a:b], scratch[a:b]
+        np.multiply(cur[a:b], 2.0, out=tmp)
+        np.subtract(tmp, prev[a:b], out=row)
+        np.subtract(cur[a + 1 : b + 1], tmp, out=tmp)
+        tmp += cur[a - 1 : b - 1]
+        tmp *= lam2
+        row += tmp
+        src *= dt**2
+        row += src
         older, prev, cur = prev, cur, older
         yield cur, ut, cur[a:b]
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,6 +313,23 @@ class TestExplicitBlock:
         kept = G.copy()
         rows = [ref.step(n, 7, row) for n, row in zip(range(5, 9), G)]
         assert np.array_equal(acc.explicit_block(5, 7, G), np.array(rows))
+        assert np.array_equal(G, kept)
+
+
+class TestExplicitBlockMemory:
+    def test_holds_one_block_beside_its_source(self, rng):
+        # the result is the scaled copy of G; a second block would peak at two
+        grid = GridSpec(h=0.01, t_max=0.5, pad=5.0)  # n_x = 1101, n_t = 50
+        acc = CharAccumulator(grid)
+        G = rng.uniform(0.0, 1.0, (32, 1000))
+        kept = G.copy()
+        tracemalloc.start()
+        try:
+            acc.explicit_block(5, 40, G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * G.nbytes
         assert np.array_equal(G, kept)
 
 

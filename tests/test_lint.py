@@ -38,6 +38,10 @@ state of a CharAccumulator: every pass steps its sums through the
 accumulator's own methods, so the stepping code lives in kernels alone.
 The CLI's flags, read off its args namespace (args.c of `bounds`), are not
 that state.
+
+No module imports numpy.lib.stride_tricks or reads it as an attribute: its
+raw strided windows have no bounds check, so a wrong window reads past its
+array instead of raising.
 """
 
 import argparse
@@ -269,6 +273,22 @@ def accumulator_state_reads(source: str) -> list:
     )
 
 
+def strided_window_imports(source: str) -> list:
+    """Lines that import numpy.lib.stride_tricks or a name from it, or read it
+    as an attribute."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            modules = [node.attr] if isinstance(node, ast.Attribute) else []
+        if any("stride_tricks" in module.split(".") for module in modules):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
 def unread_flags(parser: argparse.ArgumentParser, source: str) -> list:
     """'command --flag' for each flag that the command's `if args.command == ...`
     branch of source never reads as args.<dest>."""
@@ -356,6 +376,11 @@ def test_oracle_imports_nothing_it_checks():
     assert checked_code_imports(oracle.read_text()) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_takes_raw_strided_windows(path):
+    assert strided_window_imports(path.read_text()) == []
+
+
 def test_checks_flag_what_they_should():
     source = (
         "from typing import Optional, Sequence\n"
@@ -388,6 +413,11 @@ def test_checks_flag_what_they_should():
         "acc.plus[lo:hi] += acc.c * G\n"
         "off, plus = acc.off, acc.minus.copy()\n"
         "v = plus + minus + acc.plus_minus + c + args.c\n"
+        "from numpy.lib.stride_tricks import sliding_window_view as swv; v = swv(x, 3)\n"
+        "from numpy.lib import stride_tricks; v = stride_tricks.as_strided(x)\n"
+        "import numpy.lib.stride_tricks\n"
+        "v = np.lib.stride_tricks.as_strided(x)\n"
+        "v = np.lib.scimath.sqrt(x) + x.strides\n"
     )
     patched = string_constants(
         "['_level_blocks', '__doc__', 'march', 'harness', 'kernels', 'wavelifespan']"
@@ -409,6 +439,7 @@ def test_checks_flag_what_they_should():
     assert lattice_rounding_calls(source) == [25, 26]
     assert function_form_reductions(source) == [27]
     assert accumulator_state_reads(source) == [28, 29]
+    assert strided_window_imports(source) == [31, 32, 33, 34]
     grids = (
         "def horizon(params, grid: GridSpec, T: float): pass\n"
         "def shaped(grid: Optional[GridSpec], *, n_x, j_max): pass\n"

@@ -90,6 +90,16 @@ class TestBlowupAgreement:
         assert est_m.status is Status.blowup and est_l.status is Status.blowup
         assert abs(est_m.T_blow - est_l.T_blow) / est_l.T_blow < 0.10
 
+    def test_pinned_criterion_5_run(self, bump_data):
+        # T_blow and sup |u_t| at levels 1, the middle one and the last one of
+        # criterion 5's leapfrog, pinned to their first recorded values
+        params = ModelParams(2.0, -1.0, -1.0, 0.5, 1.0)
+        _, est = leapfrog_solve(params, bump_data, dx=0.005, cfl=0.9, t_max=10.0)
+        assert est.T_blow == pytest.approx(6.6937500000000005, rel=1e-12, abs=0.0)
+        assert len(est.sup_history) == 1490
+        sups = [est.sup_history[n] for n in (1, 745, 1489)]
+        assert sups == pytest.approx([0.5005625, 0.5424164929521814, 5510356.5529951025], rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize(
         "p, a, b, eps, kind",
         [

@@ -31,9 +31,11 @@ from wavelifespan.kernels import (
 )
 from wavelifespan.solver import (
     _fold_cap,
+    _level_blocks,
     _masked_weighted_sup,
     _solve_level,
     apply_duhamel_field,
+    apriori_profiles,
     dump_field_csv,
     march,
     march_ladder,
@@ -243,6 +245,50 @@ class TestGoldenSupHistory:
         assert got == pytest.approx(list(sups), rel=1e-12, abs=0.0)
 
 
+class TestGoldenExplicitPasses:
+    """apriori_profiles and picard_iterate pinned to their first recorded
+    values, as TestGoldenSupHistory pins march."""
+
+    @pytest.mark.parametrize(
+        "p, a, b, R, test_field, rows",
+        [
+            (2.0, 0.0, 0.0, 2.0, "free", (
+                (0.013377392867817195, 0.0016175772657433625, 0.0013377319320952699),
+                (6.622100957432956e-06, 1.673992378756031e-05, 1.617031895714059e-05),
+                (6.622100957432956e-06, 1.673992378756031e-05, 1.617031895714059e-05))),
+            (2.0, 0.0, 0.0, 2.0, "picard_U2", (
+                (6.622100957432956e-06, 1.673992378756031e-05, 1.617031895714059e-05),
+                (8.133798447235493e-13, 3.112646940254051e-10, 3.88892296550773e-10),
+                (1.6431192764311198e-09, 6.793372557672125e-08, 7.562277861808554e-08))),
+            (2.0, -0.5, 0.0, 1.0, "free", (
+                (0.00925143796882409, 0.001091089451179962, 0.0007808688094430304),
+                (5.395010655405257e-06, 1.0823720101338584e-05, 1.133610667070013e-05),
+                (5.395010655405257e-06, 1.0823720101338584e-05, 1.133610667070013e-05))),
+            (2.0, -0.5, 0.0, 1.0, "picard_U2", (
+                (5.395010655405257e-06, 1.0823720101338584e-05, 1.133610667070013e-05),
+                (9.304940590062162e-13, 3.7568862325386753e-10, 8.095929197941355e-10),
+                (1.5956239231206328e-09, 5.527982203077182e-08, 8.338882890654023e-08))),
+        ],
+    )
+    def test_pinned_apriori_profiles(self, p, a, b, R, test_field, rows):
+        # two cases of criterion 6, at h = 0.1 and T = 20; levels 1, n_t/2, n_t
+        grid = GridSpec(h=0.1, t_max=20.0, pad=max(1.0, R))
+        data = InitialData(Family.bump, 0.0, 1.0, R)
+        profiles = apriori_profiles(ModelParams(p, a, b, 0.01, R), data, grid, test_field)
+        n_t = grid.n_t
+        for row, pinned in zip(profiles, rows):
+            assert [row[n] for n in (1, n_t // 2, n_t)] == pytest.approx(pinned, rel=1e-12, abs=0.0)
+
+    def test_pinned_picard_norms(self):
+        params = ModelParams(2.0, -0.5, 0.0, 0.35, 1.0)
+        data = InitialData(Family.bump, 0.0, 1.0, 1.0)
+        report = picard_iterate(params, data, GridSpec(h=0.1, t_max=12.0, pad=1.0), j_max=5)
+        assert report.diverged_at is None
+        pinned = [0.0, 0.013469883273173191, 0.01938966360879816, 0.0214376760912543,
+                  0.021986346840242116]
+        assert report.norms == pytest.approx(pinned, rel=1e-12, abs=0.0)
+
+
 class TestSeededAccumulator:
     # bump_pair has f' != 0, which exercises the sign of each half
     data = InitialData(Family.bump_pair, 0.7, 1.0, 1.0)
@@ -266,6 +312,22 @@ class TestSeededAccumulator:
             for n in range(n0, n1):
                 plus, minus = acc.diagonals(n, lo, hi)
                 assert np.array_equal(block[n - n0], plus + minus)
+        # and every block that _level_blocks takes from values
+        params = ModelParams(2.0, -0.5, 0.0, 0.35, 1.0)
+        for grid in (
+            grid,  # 61 levels: a partial last block of 29
+            GridSpec(h=0.3, t_max=12.0, pad=1.0),  # R/h = 3.33.., and a last block of 9
+            GridSpec(h=0.3, t_max=12.0, pad=0.5),  # the cone runs off the grid: clamped slices
+        ):
+            acc = CharAccumulator.seeded(self.data, grid, params.epsilon)
+            n_next = 0
+            for n0, lo, xa, t, B in _level_blocks(params, self.data, grid):
+                assert n0 == n_next and B.shape == (len(t), len(xa))
+                for n, row in zip(range(n0, n0 + len(t)), B):
+                    plus, minus = acc.diagonals(n, lo, lo + len(xa) - 1)
+                    assert np.array_equal(row, plus + minus)
+                n_next = n0 + len(t)
+            assert n_next == grid.n_t + 1
 
     def test_seeds_are_the_halves_at_the_feet_of_their_diagonals(self):
         grid, data, eps = self.grid, self.data, 0.35
