@@ -19,9 +19,6 @@ from .core import (
 from .solver import PicardReport, march, march_ladder, picard_iterate, pde_residual, reconstruct_u
 from .oracle import compare_fields, leapfrog_solve
 from .theory import (
-    C0_constant,
-    C1_constant,
-    C2_constant,
     K1,
     K2,
     a_n_closed_form,
@@ -37,9 +34,6 @@ from .theory import (
 from .harness import fit_exponent, make_epsilon_ladder, run_cli, sweep, verify_apriori
 
 __all__ = [
-    "C0_constant",
-    "C1_constant",
-    "C2_constant",
     "CharField",
     "Cause",
     "Family",

@@ -297,7 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-lo", type=float, default=20.0)
     sp.add_argument("--t-hi", type=float, default=200.0)
     sp.add_argument("--n-eps", type=int, default=8)
-    sp.add_argument("--amplitude-g", type=float, default=1.0)
     sp.add_argument("--out", type=str, default=None)
     sp.add_argument("--fit", choices=["power", "exponential"], default=None)
 
@@ -402,7 +401,8 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
                         f"the default M1 = eps^p = {M1:g} is not positive and finite "
                         f"at eps={args.eps:g}, p={args.p:g}; give --M1"
                     )
-            states = theory.blowup_sequence(args.p, args.n, M1, a=args.a, b=args.b)
+            params = ModelParams(args.p, args.a, args.b, args.eps)
+            states = theory.blowup_sequence(params, args.n, M1)
             for s in states:
                 print(f"n={s.n} a_n={s.a_n} log_M_n={s.log_M_n:.6g}")
             return 0
@@ -425,7 +425,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "sweep":
             params = ModelParams(args.p, args.a, args.b, 0.0, args.R)
-            data = InitialData(Family.bump, 0.0, args.amplitude_g, args.R)
+            data = InitialData(Family.bump, 0.0, 1.0, args.R)
             grid = GridSpec(h=args.h, t_max=args.tmax, pad=max(1.0, args.R))
             if args.fit and args.n_eps < 3:
                 raise ValueError("--fit needs --n-eps >= 3")

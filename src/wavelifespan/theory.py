@@ -120,19 +120,12 @@ def a_n_closed_form(p: int, n: int) -> Fraction:
     return (pf ** (2 * (n - 1)) - 1) / (pf - 1)
 
 
-def C0_constant(a: float, b: float) -> float:
-    return 3.0 ** (-abs(a)) * 2.0 ** (-abs(b)) / (8.0 * math.sqrt(2.0))
-
-
 def _log_C1(p: float, a: float, b: float) -> float:
     """log C1 = (p+1) log C0 + p log(p-1), finite where C1 itself under- or overflows."""
+    if not p > 1:
+        raise ValueError("p must exceed 1")
     log_C0 = -abs(a) * math.log(3.0) - abs(b) * math.log(2.0) - math.log(8.0 * math.sqrt(2.0))
     return (p + 1) * log_C0 + p * math.log(p - 1)
-
-
-def C1_constant(p: float, a: float, b: float) -> float:
-    """C0^{p+1} (p-1)^p; inf past the float range."""
-    return _exp(_log_C1(p, a, b))
 
 
 def _case2_q(p: float, a: float, b: float, who: str) -> float:
@@ -149,11 +142,6 @@ def _log_C2(p: float, a: float, b: float) -> float:
     return _log_C1(p, a, b) - (p + 1) * (math.log(2.0) + math.log(q))
 
 
-def C2_constant(p: float, a: float, b: float) -> float:
-    """C1 / (2q)^{p+1}; inf past the float range."""
-    return _exp(_log_C2(p, a, b))
-
-
 @dataclass(frozen=True)
 class BlowupSequenceState:
     n: int
@@ -161,15 +149,10 @@ class BlowupSequenceState:
     log_M_n: float
 
 
-def blowup_sequence(
-    p: Number,
-    n_max: int,
-    M1: float,
-    a: float = 0.0,
-    b: float = 0.0,
-) -> list[BlowupSequenceState]:
-    """a_{n+1} = p^2 a_n + p + 1 exactly; M_{n+1} = C1 p^{-2pn} M_n^{p^2} in
-    the log domain (M_n collapses doubly exponentially)."""
+def blowup_sequence(params: ModelParams, n_max: int, M1: float) -> list[BlowupSequenceState]:
+    """a_{n+1} = p^2 a_n + p + 1 exactly; M_{n+1} = C1 p^{-2pn} M_n^{p^2} at C1 of
+    (p, a, b), in the log domain (M_n collapses doubly exponentially)."""
+    p, a, b = params.p, params.a, params.b
     if not all(math.isfinite(v) for v in (p, M1, a, b)):
         raise ValueError(f"p, M1, a and b must be finite, got p={p}, M1={M1}, a={a}, b={b}")
     if not (p > 1 and n_max >= 1 and M1 > 0):
@@ -244,31 +227,35 @@ def K2(x: float, t: float, params: ModelParams, M1: float) -> float:
     return _K(q * log_T, p, _log_C2(p, a, b), M1)
 
 
-def con1_lhs(t0: float, p: float, M1: float, C1: float) -> float:
-    """Left-hand side of the Case 1 blow-up condition at (t0/2, t0); +-inf past
-    the float range."""
+def con1_lhs(t0: float, params: ModelParams, M1: float) -> float:
+    """Left-hand side of the Case 1 blow-up condition at (t0/2, t0) at C1 of
+    (p, a, b); +-inf past the float range."""
+    p, a, b = params.p, params.a, params.b
     lead = 0.5 * math.log(t0)
     if lead == 0:
         return 0.0
-    return math.copysign(_exp(_log_con(math.log(abs(lead)), p, math.log(C1), M1)), lead)
+    return math.copysign(_exp(_log_con(math.log(abs(lead)), p, _log_C1(p, a, b), M1)), lead)
 
 
-def con2_lhs(t0: float, p: float, a: float, b: float, M1: float, C2: float) -> float:
-    """Left-hand side of the Case 2 blow-up condition at (t0/2, t0), with lead
-    (t0/2)^q; inf past the float range."""
+def con2_lhs(t0: float, params: ModelParams, M1: float) -> float:
+    """Left-hand side of the Case 2 blow-up condition at (t0/2, t0) at C2 of
+    (p, a, b), with lead (t0/2)^q; inf past the float range."""
+    p, a, b = params.p, params.a, params.b
     q = _case2_q(p, a, b, "con2")
-    return _exp(_log_con(q * (math.log(t0) - math.log(2.0)), p, math.log(C2), M1))
+    return _exp(_log_con(q * (math.log(t0) - math.log(2.0)), p, _log_C2(p, a, b), M1))
 
 
-def k1_minorant(t0: float, p: float, M1: float, C1: float) -> float:
+def k1_minorant(t0: float, params: ModelParams, M1: float) -> float:
     """K1 at (t0/2, t0) with the log factor replaced by its 2^-1 log(t0)
     minorant (valid for t0 > 4(1+R)^2); positive iff con1 holds."""
-    return _K(math.log(0.5 * math.log(t0)), p, math.log(C1), M1)
+    p, a, b = params.p, params.a, params.b
+    return _K(math.log(0.5 * math.log(t0)), p, _log_C1(p, a, b), M1)
 
 
-def k2_minorant(t0: float, p: float, a: float, b: float, M1: float, C2: float) -> float:
+def k2_minorant(t0: float, params: ModelParams, M1: float) -> float:
+    p, a, b = params.p, params.a, params.b
     q = _case2_q(p, a, b, "k2_minorant")
-    return _K(q * (math.log(t0) - math.log(2.0)), p, math.log(C2), M1)
+    return _K(q * (math.log(t0) - math.log(2.0)), p, _log_C2(p, a, b), M1)
 
 
 def epsilon_thresholds(params: ModelParams, Cg: float) -> tuple[float, Optional[float]]:

@@ -14,9 +14,8 @@ from wavelifespan.harness import fit_exponent, make_epsilon_ladder, sweep, verif
 from wavelifespan.oracle import compare_fields, leapfrog_solve
 from wavelifespan.solver import march, pde_residual, picard_iterate
 from wavelifespan.theory import (
-    C1_constant,
-    C2_constant,
     S_p2,
+    _log_C1,
     a_n_closed_form,
     con1_lhs,
     con2_lhs,
@@ -191,24 +190,29 @@ def test_criterion_7_blowup_iteration_algebra():
 
     rng = np.random.default_rng(7)
     sign_ok = True
+    held = {1: set(), 2: set()}  # outcomes of con1 > 1 and con2 > 1; each must see both
     for _ in range(100):
         p = float(rng.uniform(1.3, 3.5))
         t0 = float(rng.uniform(20.0, 1e4))
         M1 = float(10.0 ** rng.uniform(-8, 2))
-        C1 = float(10.0 ** rng.uniform(-6, 1))
-        sign_ok = sign_ok and ((k1_minorant(t0, p, M1, C1) > 0) == (con1_lhs(t0, p, M1, C1) > 1))
+        a1 = float(1.5 - rng.uniform(0.0, 1.5))  # in (0, 1.5], with Case 1's b = -p(1+a)
+        case1 = ModelParams(p, a1, -p * (1 + a1), 0.1)
+        con1 = con1_lhs(t0, case1, M1) > 1
+        sign_ok = sign_ok and ((k1_minorant(t0, case1, M1) > 0) == con1)
+        held[1].add(con1)
         a = float(rng.uniform(-1.5, -0.6))
         b = float(rng.uniform(-6.0, -p - 0.5))
         if -(p * (1 + a) + b) > 0:
-            C2 = float(10.0 ** rng.uniform(-6, 1))
-            sign_ok = sign_ok and (
-                (k2_minorant(t0, p, a, b, M1, C2) > 0) == (con2_lhs(t0, p, a, b, M1, C2) > 1)
-            )
+            case2 = ModelParams(p, a, b, 0.1)
+            con2 = con2_lhs(t0, case2, M1) > 1
+            sign_ok = sign_ok and ((k2_minorant(t0, case2, M1) > 0) == con2)
+            held[2].add(con2)
+    sign_ok = sign_ok and held[1] == held[2] == {True, False}
     checks.append(("K1/K2 sign agrees with con1/con2 (100 tuples)", sign_ok))
 
     params = ModelParams(2.0, -0.5, -3.0, 0.1, 1.0)
     p, R = params.p, params.R
-    Cg, C1 = 0.9, C1_constant(p, params.a, params.b)
+    Cg, C1 = 0.9, math.exp(_log_C1(p, params.a, params.b))
     eps3, eps4 = epsilon_thresholds(params, Cg)
     S = S_p2(p)
     B = C1 ** (1.0 / (p + 1)) * p ** (-2.0 * p * S * (p - 1)) * Cg ** (p - 1)

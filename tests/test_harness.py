@@ -784,6 +784,18 @@ class TestCli:
         grid = GridSpec(h=0.1, t_max=1.0, pad=1.0)
         assert sizes == [march_bytes(replace(grid, h=0.05), 2, False) + sup_history_bytes(grid, 2)]
 
+    def test_sweep_marches_unit_amplitude_data(self, tmp_path, capsys, monkeypatch):
+        # --t-lo and --t-hi set the amplitude eps that each rung marches, so the data's is 1, as in solve
+        argv = ["sweep", "--h", "0.1", "--tmax", "1", "--n-eps", "2", "--R", "1.5", "--out", str(tmp_path / "s.csv")]
+        data, real = [], harness.march_ladder
+        monkeypatch.setattr(
+            harness, "march_ladder", lambda p, d, g, eps, **kw: data.append(d) or real(p, d, g, eps, **kw)
+        )
+        assert run_cli(argv) == 0
+        assert data == [InitialData(Family.bump, 0.0, 1.0, 1.5)] * 2
+        assert run_cli([*argv, "--amplitude-g", "2"]) == 1
+        assert "unrecognized arguments: --amplitude-g 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [["classify"], ["bounds"], ["blowup-seq"], ["phase-diagram"]])
     def test_commands_that_ignore_R_reject_it(self, argv, capsys):
         assert run_cli([*argv, "--R", "2"]) == 1

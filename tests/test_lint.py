@@ -33,6 +33,11 @@ A function or method with a GridSpec-annotated parameter takes no parameter
 named T, t_max, n_t, n_x, n_last or h: the grid fixes its step, horizon and
 shape, so a pass reads them from it.
 
+No function or method takes a parameter named C0, C1 or C2: (p, a, b)
+fixes the constants of the blow-up iteration, so a function takes the
+params that carry them and derives their logarithms, and no caller can
+pass a constant that does not match.
+
 No module but kernels.py reads a .plus, .minus, .off or .c attribute, the
 state of a CharAccumulator: every pass steps its sums through the
 accumulator's own methods, so the stepping code lives in kernels alone.
@@ -238,6 +243,15 @@ def checked_code_imports(source: str) -> list:
     return sorted(lines)
 
 
+def signatures(source: str):
+    """(node, parameters) of each function and method of source."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            yield node, params + [a for a in (args.vararg, args.kwarg) if a]
+
+
 GRID_FIXED = {"T", "t_max", "n_t", "n_x", "n_last", "h"}
 
 
@@ -245,16 +259,24 @@ def grid_fixed_params(source: str) -> list:
     """'line N: name(param)' for each parameter named in GRID_FIXED of a
     function or method that also takes a GridSpec-annotated parameter."""
     out = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        args = node.args
-        params = args.posonlyargs + args.args + args.kwonlyargs
-        params += [a for a in (args.vararg, args.kwarg) if a]
+    for node, params in signatures(source):
         if any(a.annotation and "GridSpec" in ast.unparse(a.annotation) for a in params):
             fixed = [a.arg for a in params if a.arg in GRID_FIXED]
             out += [f"line {node.lineno}: {node.name}({name})" for name in fixed]
     return out
+
+
+DERIVED_CONSTANTS = {"C0", "C1", "C2"}
+
+
+def derived_constant_params(source: str) -> list:
+    """'line N: name(param)' for each parameter named C0, C1 or C2."""
+    return [
+        f"line {node.lineno}: {node.name}({a.arg})"
+        for node, params in signatures(source)
+        for a in params
+        if a.arg in DERIVED_CONSTANTS
+    ]
 
 
 ACCUMULATOR_STATE = {"plus", "minus", "off", "c"}
@@ -366,6 +388,11 @@ def test_no_pass_takes_what_its_grid_fixes(path):
     assert grid_fixed_params(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_takes_a_constant_that_p_a_b_fix(path):
+    assert derived_constant_params(path.read_text()) == []
+
+
 @pytest.mark.parametrize("path", [m for m in MODULES if m.name != "kernels.py"], ids=lambda p: p.name)
 def test_only_kernels_reads_the_accumulator_state(path):
     assert accumulator_state_reads(path.read_text()) == []
@@ -452,6 +479,15 @@ def test_checks_flag_what_they_should():
         "line 1: horizon(T)",
         "line 2: shaped(n_x)",
         "line 4: __init__(h)",
+    ]
+    constants = (
+        "def minorant(t0, p, M1, C1, *, C0=1.0, **C2): pass\n"
+        "def bound(p, a, b, epsilon, c, Cg, C=None): pass\n"
+    )
+    assert derived_constant_params(constants) == [
+        "line 1: minorant(C1)",
+        "line 1: minorant(C0)",
+        "line 1: minorant(C2)",
     ]
     core = next(m for m in MODULES if m.name == "core.py")
     assert align_tol_reads(core.read_text()) != []

@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 from wavelifespan.core import ModelParams, RegimeKind
 from wavelifespan.theory import (
     BlowupSequenceState,
-    C0_constant,
-    C1_constant,
-    C2_constant,
     D_a,
     E_ab,
     INFTY,
     K1,
     K2,
     S_p2,
+    _log_C1,
+    _log_C2,
     a_n_closed_form,
     blowup_sequence,
     classify_regime,
@@ -188,16 +187,17 @@ class TestSeries:
     @pytest.mark.parametrize("p", [1 + 1.6e-8, 1 + 3e-7, 1.001])
     def test_k1_minorant_near_one_against_exact_arithmetic(self, p):
         # every log is the float one k1_minorant takes; the rest is exact
-        t0, M1, C1 = math.exp(4.0), 0.01, 1e-3
+        t0, M1 = math.exp(4.0), 0.01
         P = Fraction(p)
         S = P**2 / (P**2 - 1) ** 2
         exact = (
             Fraction(math.log(0.5 * math.log(t0))) / (P - 1)
-            + Fraction(math.log(C1)) / (P**2 - 1)
+            + Fraction(_log_C1(p, 0.0, 0.0)) / (P**2 - 1)
             - S * 2 * P * Fraction(math.log(p))
             + Fraction(math.log(M1))
         )
-        assert abs(Fraction(k1_minorant(t0, p, M1, C1)) - exact) <= Fraction(1, 10**15) * abs(exact)
+        k = k1_minorant(t0, ModelParams(p, 0.0, 0.0, 0.1), M1)
+        assert abs(Fraction(k) - exact) <= Fraction(1, 10**15) * abs(exact)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_a_n_recursion_matches_closed_form(self, p):
@@ -208,41 +208,42 @@ class TestSeries:
             a_n = Fraction(p) ** 2 * a_n + p + 1
 
 
+def _C0(a, b):
+    return 3.0 ** (-abs(a)) * 2.0 ** (-abs(b)) / (8.0 * math.sqrt(2.0))
+
+
 class TestConstants:
-    def test_C0_and_C1(self):
-        assert C0_constant(0.0, 0.0) == pytest.approx(1.0 / (8.0 * math.sqrt(2.0)), rel=1e-14)
-        assert C1_constant(2.0, 0.0, 0.0) == pytest.approx(C0_constant(0, 0) ** 3, rel=1e-14)
-        assert C1_constant(3.0, 0.5, -1.0) == pytest.approx(
-            C0_constant(0.5, -1.0) ** 4 * 8.0, rel=1e-14
-        )
+    def test_C1(self):
+        assert math.exp(_log_C1(2.0, 0.0, 0.0)) == pytest.approx(_C0(0.0, 0.0) ** 3, rel=1e-14)
+        assert math.exp(_log_C1(3.0, 0.5, -1.0)) == pytest.approx(_C0(0.5, -1.0) ** 4 * 8.0, rel=1e-14)
 
     def test_C2_relation_and_domain(self):
         p, a, b = 2.0, -0.5, -3.0
         q = -(p * (1 + a) + b)
-        assert C2_constant(p, a, b) == pytest.approx(
-            C1_constant(p, a, b) / (2 ** (p + 1) * q ** (p + 1)), rel=1e-14
+        assert math.exp(_log_C2(p, a, b)) == pytest.approx(
+            _C0(a, b) ** (p + 1) * (p - 1) ** p / (2 ** (p + 1) * q ** (p + 1)), rel=1e-14
         )
-        with pytest.raises(ValueError):
-            C2_constant(2.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="C2 requires"):
+            _log_C2(2.0, 0.0, 0.0)
 
 
 class TestBlowupSequence:
     def test_states_carry_no_constant(self):
-        # C1 follows from (p, a, b); theory.C1_constant gives it
+        # C1 follows from (p, a, b) of the params the sequence takes
         assert {f.name for f in fields(BlowupSequenceState)} == {"n", "a_n", "log_M_n"}
 
     def test_states_follow_both_recursions(self):
-        p, M1 = 2, 0.01
-        states = blowup_sequence(p, 8, M1)
-        C1 = C1_constant(p, 0.0, 0.0)  # blowup_sequence's default a = b = 0
+        p, a, b, M1 = 2, 0.5, -3.0, 0.01
+        states = blowup_sequence(ModelParams(p, a, b, 0.1), 8, M1)
+        log_C1 = math.log(_C0(a, b) ** (p + 1) * (p - 1) ** p)
         for s in states:
             assert s.a_n == a_n_closed_form(p, s.n)
         for prev, cur in zip(states, states[1:]):
-            expected = math.log(C1) - 2 * p * prev.n * math.log(p) + p**2 * prev.log_M_n
+            expected = log_C1 - 2 * p * prev.n * math.log(p) + p**2 * prev.log_M_n
             assert cur.log_M_n == pytest.approx(expected, rel=1e-12)
 
     def test_small_M1_collapses_doubly_exponentially(self):
-        states = blowup_sequence(2, 10, 1e-4)
+        states = blowup_sequence(ModelParams(2, 0.0, 0.0, 0.1), 10, 1e-4)
         logs = [s.log_M_n for s in states]
         assert logs[-1] < -1e5
         # |log M_n| roughly quadruples each step once the p^2 term dominates
@@ -250,9 +251,11 @@ class TestBlowupSequence:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            blowup_sequence(1.0, 5, 0.1)
+            blowup_sequence(ModelParams(1.0, 0.0, 0.0, 0.1), 5, 0.1)
         with pytest.raises(ValueError):
-            blowup_sequence(2.0, 5, -0.1)
+            blowup_sequence(ModelParams(2.0, 0.0, 0.0, 0.1), 5, -0.1)
+        with pytest.raises(ValueError, match="must be finite"):
+            blowup_sequence(ModelParams(2.0, 0.0, math.nan, 0.1), 5, 0.1)
 
 
 class TestThresholdAlgebra:
@@ -261,9 +264,10 @@ class TestThresholdAlgebra:
             p = rng.uniform(1.3, 3.5)
             t0 = rng.uniform(20.0, 1e4)
             M1 = 10.0 ** rng.uniform(-8, 2)
-            C1 = 10.0 ** rng.uniform(-6, 1)
-            lhs = con1_lhs(t0, p, M1, C1)
-            assert k1_minorant(t0, p, M1, C1) == pytest.approx(
+            a = 1.5 - rng.uniform(0.0, 1.5)  # in (0, 1.5], with Case 1's b = -p(1+a)
+            params = ModelParams(p, a, -p * (1 + a), 0.1)
+            lhs = con1_lhs(t0, params, M1)
+            assert k1_minorant(t0, params, M1) == pytest.approx(
                 math.log(lhs) / (p - 1), rel=1e-12, abs=1e-12
             )
 
@@ -276,25 +280,21 @@ class TestThresholdAlgebra:
                 continue
             t0 = rng.uniform(20.0, 1e4)
             M1 = 10.0 ** rng.uniform(-8, 2)
-            C2 = 10.0 ** rng.uniform(-6, 1)
-            lhs = con2_lhs(t0, p, a, b, M1, C2)
-            assert k2_minorant(t0, p, a, b, M1, C2) == pytest.approx(
+            params = ModelParams(p, a, b, 0.1)
+            lhs = con2_lhs(t0, params, M1)
+            assert k2_minorant(t0, params, M1) == pytest.approx(
                 math.log(lhs) / (p - 1), rel=1e-12, abs=1e-12
             )
 
     def test_K1_dominates_minorant(self):
         params = ModelParams(2.0, 0.5, -3.0, 0.1, 1.0)
         for t0 in (20.0, 50.0, 200.0):
-            M1, C1 = 0.01, C1_constant(2.0, 0.5, -3.0)
-            assert K1(t0 / 2.0, t0, params, M1) >= k1_minorant(t0, 2.0, M1, C1) - 1e-12
+            assert K1(t0 / 2.0, t0, params, 0.01) >= k1_minorant(t0, params, 0.01) - 1e-12
 
     def test_K2_dominates_minorant(self):
         params = ModelParams(2.0, -0.5, -3.0, 0.1, 1.0)
         for t0 in (20.0, 50.0, 200.0):
-            M1, C2 = 0.01, C2_constant(2.0, -0.5, -3.0)
-            assert K2(t0 / 2.0, t0, params, M1) >= k2_minorant(
-                t0, 2.0, -0.5, -3.0, M1, C2
-            ) - 1e-12
+            assert K2(t0 / 2.0, t0, params, 0.01) >= k2_minorant(t0, params, 0.01) - 1e-12
 
     @pytest.mark.parametrize("x, t, R", [(5.0, 20.0, 1.0), (0.0, 40.0, 2.5)])
     def test_K1_and_K2_take_their_constant_from_p_a_b(self, x, t, R):
@@ -302,11 +302,11 @@ class TestThresholdAlgebra:
         tail = -S_p2(p) * math.log(p ** (2 * p)) + math.log(M1)
         params = ModelParams(p, 0.5, -3.0, 0.1, R)
         lead = math.log(math.log((1.0 + t - x) / (1.0 + R))) / (p - 1)
-        expected = lead + math.log(C1_constant(p, 0.5, -3.0)) / (p**2 - 1) + tail
+        expected = lead + _log_C1(p, 0.5, -3.0) / (p**2 - 1) + tail
         assert K1(x, t, params, M1) == pytest.approx(expected, rel=1e-12)
         params = ModelParams(p, -0.5, -3.0, 0.1, R)
         lead = 2.0 * math.log(1.0 + t - x) / (p - 1)  # q = -(p(1+a)+b) = 2
-        expected = lead + math.log(C2_constant(p, -0.5, -3.0)) / (p**2 - 1) + tail
+        expected = lead + _log_C2(p, -0.5, -3.0) / (p**2 - 1) + tail
         assert K2(x, t, params, M1) == pytest.approx(expected, rel=1e-12)
 
     def test_region_checks(self):
@@ -336,10 +336,9 @@ class TestThresholdAlgebra:
     def test_epsilon_thresholds_back_substitution(self, params, Cg):
         # 2 B (1+R)^2 eps3^(p(p-1)) = 1 and B (2^(1/q) (1+R) - 1/2) eps4^(p(p-1)/q) = 1, in logs
         p, R = params.p, params.R
-        C1 = C1_constant(p, params.a, params.b)
         eps3, eps4 = epsilon_thresholds(params, Cg)
         log_p_power = -2.0 * p * S_p2(p) * (p - 1) * math.log(p)
-        log_B = math.log(C1) / (p + 1) + log_p_power + (p - 1) * math.log(Cg)
+        log_B = _log_C1(p, params.a, params.b) / (p + 1) + log_p_power + (p - 1) * math.log(Cg)
         log_eps3 = -(math.log(2.0) + log_B + 2.0 * math.log(1.0 + R)) / (p * (p - 1))
         assert math.log(eps3) == pytest.approx(log_eps3, rel=1e-12)
         q = -(p * (1 + params.a) + params.b)
@@ -368,31 +367,49 @@ class TestThresholdAlgebra:
         assert math.isfinite(eps3)
         assert eps4 == pytest.approx(2.0 ** (-1.0 / (p * (p - 1))), rel=rel)
 
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    def test_every_blowup_function_names_p_at_most_1(self, p):
+        params = ModelParams(p, -0.5, -3.0, 0.1, 1.0)
+        calls = [
+            lambda: K1(2.0, 10.0, params, 0.01),
+            lambda: K2(2.0, 10.0, params, 0.01),
+            lambda: con1_lhs(100.0, params, 0.01),
+            lambda: con2_lhs(100.0, params, 0.01),
+            lambda: k1_minorant(100.0, params, 0.01),
+            lambda: k2_minorant(100.0, params, 0.01),
+            lambda: epsilon_thresholds(params, 1.0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="p must exceed 1"):
+                call()
+
     def test_large_q_lead_saturates_con2_and_stays_finite_in_k2(self):
-        p, a, b, M1, C2, t0 = 2.0, -0.5, -1000.0, 0.01, 1e-3, 1e4
-        assert con2_lhs(t0, p, a, b, M1, C2) == math.inf  # (t0/2)^999 overflows
+        p, a, b, M1, t0 = 2.0, -0.5, -1000.0, 0.01, 1e4
+        params = ModelParams(p, a, b, 0.1)
+        assert con2_lhs(t0, params, M1) == math.inf  # (t0/2)^999 overflows
         q = -(p * (1 + a) + b)
-        expected = q * math.log(t0 / 2) + math.log(C2) / 3 - S_p2(p) * math.log(16.0) + math.log(M1)
-        assert k2_minorant(t0, p, a, b, M1, C2) == pytest.approx(expected, rel=1e-12)
+        log_C2 = (p + 1) * (math.log(_C0(a, b)) - math.log(2 * q))  # (p-1)^p = 1; C2 underflows
+        expected = q * math.log(t0 / 2) + log_C2 / 3 - S_p2(p) * math.log(16.0) + math.log(M1)
+        assert k2_minorant(t0, params, M1) == pytest.approx(expected, rel=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(
         p=st.floats(min_value=1.0, max_value=200.0, exclude_min=True),
         a=st.floats(min_value=-1e3, max_value=1e3),
         b=st.floats(min_value=-1e3, max_value=1e3),
-        R=WIDE, M1=WIDE, C=WIDE, Cg=WIDE, t0=WIDE,
+        R=WIDE, M1=WIDE, Cg=WIDE, t0=WIDE,
     )
     def test_every_threshold_function_returns_a_float_or_raises_value_error(
-        self, p, a, b, R, M1, C, Cg, t0
+        self, p, a, b, R, M1, Cg, t0
     ):
         params = ModelParams(p, a, b, 0.1, R)
         calls = [
             lambda: K1(t0 / 2, t0, params, M1),
             lambda: K2(t0 / 2, t0, params, M1),
-            lambda: con1_lhs(t0, p, M1, C),
-            lambda: con2_lhs(t0, p, a, b, M1, C),
-            lambda: k1_minorant(t0, p, M1, C),
-            lambda: k2_minorant(t0, p, a, b, M1, C),
+            lambda: con1_lhs(t0, params, M1),
+            lambda: con2_lhs(t0, params, M1),
+            lambda: k1_minorant(t0, params, M1),
+            lambda: k2_minorant(t0, params, M1),
             lambda: epsilon_thresholds(params, Cg),
         ]
         for call in calls:
@@ -428,8 +445,37 @@ class TestLargeP:
     def test_k1_minorant_where_p_to_the_2p_overflows(self):
         with localcontext() as ctx:
             ctx.prec = 40
-            ref = _decimal_K(_ln(_ln(100) / 2), 90, _ln(1e-3), 0.01)
-        assert k1_minorant(100.0, 90.0, 0.01, 1e-3) == pytest.approx(float(ref), rel=1e-13)
+            ref = _decimal_K(_ln(_ln(100) / 2), 90, _decimal_log_C1(90, 0, 0), 0.01)
+        assert k1_minorant(100.0, ModelParams(90.0, 0.0, 0.0, 0.1), 0.01) == pytest.approx(
+            float(ref), rel=1e-13
+        )
+
+    @pytest.mark.parametrize(
+        "p, a, b",
+        [
+            (250, 0, 0),  # C1 = exp(770.4) overflows
+            (3, 0, -266),  # C1 = exp(-745.1) underflows to 0
+            (90, 0.5, -135),  # C1 = exp(-8382) underflows to 0
+        ],
+    )
+    def test_k1_minorant_and_con1_where_C1_leaves_the_float_range(self, p, a, b):
+        params = ModelParams(p, a, b, 0.1)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            lead, log_C1 = _ln(_ln(100) / 2), _decimal_log_C1(p, a, b)
+            k_ref = _decimal_K(lead, p, log_C1, 0.01)
+            # con1 = exp((p-1) k1), taken at M1 = 1, where it is a normal float
+            con_ref = ((p - 1) * _decimal_K(lead, p, log_C1, 1)).exp()
+        assert k1_minorant(100.0, params, 0.01) == pytest.approx(float(k_ref), rel=1e-13)
+        assert con1_lhs(100.0, params, 1.0) == pytest.approx(float(con_ref), rel=1e-13)
+
+    def test_k2_minorant_where_C2_underflows(self):
+        p, a, b, q = 3, 0, -266, 263  # C2 = exp(-770.2)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            log_C2 = _decimal_log_C1(p, a, b) - (p + 1) * _ln(2 * q)
+            ref = _decimal_K(q * _ln(50), p, log_C2, 0.01)
+        assert k2_minorant(100.0, ModelParams(p, a, b, 0.1), 0.01) == pytest.approx(float(ref), rel=1e-13)
 
     def test_epsilon_thresholds_where_p_minus_1_to_the_p_overflows(self):
         p, R, Cg = 150, 1, 1.0
@@ -443,11 +489,11 @@ class TestLargeP:
         eps3, eps4 = epsilon_thresholds(ModelParams(p, 0, 0, 0.1, R), Cg)
         assert eps3 == pytest.approx(float(ref), rel=1e-13)
         assert eps4 is None
-        assert C1_constant(150, 0, 0) == pytest.approx(float(C1), rel=1e-12)  # about 7.6e166
+        assert math.exp(_log_C1(150, 0, 0)) == pytest.approx(float(C1), rel=1e-12)  # about 7.6e166
 
     def test_K1_where_C1_underflows(self):
         p, a, b = 90, 0.5, -135  # p(1+a)+b = 0, and C0^91 is below 1e-308
-        assert C1_constant(p, a, b) == 0.0
+        assert math.exp(_log_C1(p, a, b)) == 0.0
         with localcontext() as ctx:
             ctx.prec = 40
             ref = _decimal_K(_ln(_ln(Decimal(51) / 2)), p, _decimal_log_C1(p, a, b), 0.01)
